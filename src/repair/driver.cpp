@@ -1,5 +1,7 @@
 #include "repair/driver.hpp"
 
+#include <optional>
+
 #include "repair/parallel.hpp"
 #include "repair/patcher.hpp"
 #include "util/logging.hpp"
@@ -10,6 +12,22 @@ namespace rtlrepair::repair {
 
 using bv::Value;
 using sim::XPolicy;
+
+namespace {
+
+bool
+hasXInputs(const trace::IoTrace &io)
+{
+    for (const auto &row : io.input_rows) {
+        for (const auto &v : row) {
+            if (v.hasX())
+                return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
 
 trace::IoTrace
 resolveTraceInputs(const trace::IoTrace &io, XPolicy policy,
@@ -165,8 +183,13 @@ repairDesign(const verilog::Module &buggy,
         outcome.detail += note + "\n";
 
     // 3. Resolve unknowns once, shared by every query and replay.
-    trace::IoTrace resolved =
-        resolveTraceInputs(io, config.x_policy, config.seed);
+    // Only X input cells change, so a trace without any is used as is
+    // rather than copied.
+    std::optional<trace::IoTrace> resolved_copy;
+    if (hasXInputs(io))
+        resolved_copy = resolveTraceInputs(io, config.x_policy,
+                                           config.seed);
+    const trace::IoTrace &resolved = resolved_copy ? *resolved_copy : io;
     std::vector<Value> init =
         resolveInitState(base_sys, config.x_policy, config.seed);
 

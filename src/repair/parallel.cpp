@@ -300,6 +300,7 @@ runEngineParallel(const ir::TransitionSystem &sys,
         size_t latest_failure = f;
         for (const auto &candidate : solve.synth.repairs) {
             sim::ReplayResult r = runner.run(candidate);
+            result.windows.back().replay_cycles += replayCycles(r);
             if (r.passed) {
                 result.status = EngineResult::Status::Repaired;
                 result.assignment = candidate;

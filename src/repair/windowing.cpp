@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "ir/specialize.hpp"
 #include "sim/vec_sim.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -41,6 +42,37 @@ telemetry::Counter s_slack_us("window.deadline_slack_us",
 // (no solve, no encode): a core free of the window anchor proves
 // every larger window UNSAT.
 telemetry::Counter s_fastforward("window.core_fastforward");
+// Trace cycles replayed validating candidates.  Baseline and prefix
+// replays show only as spans: the portfolio runs them for templates
+// the serial cascade never reaches.
+telemetry::Counter s_sim_cycles("sim.cycles");
+
+const sim::SimOptions kReplayOptions{sim::XPolicy::Keep,
+                                     sim::XPolicy::Keep, 1};
+
+/** Value of synthesis variable @p var of @p sys under @p assignment
+ *  (zero when the assignment does not name it). */
+Value
+synthValue(const ir::TransitionSystem &sys,
+           const SynthAssignment &assignment, size_t var)
+{
+    const ir::SynthVarInfo &info = sys.synth_vars[var];
+    auto it = assignment.values.find(info.name);
+    return it != assignment.values.end() ? it->second
+                                         : Value::zeros(info.width);
+}
+
+/** Every synthesis variable of @p sys fixed as @p assignment sets it. */
+std::vector<std::optional<Value>>
+fixedUnder(const ir::TransitionSystem &sys,
+           const SynthAssignment &assignment)
+{
+    std::vector<std::optional<Value>> fixed;
+    fixed.reserve(sys.synth_vars.size());
+    for (size_t i = 0; i < sys.synth_vars.size(); ++i)
+        fixed.emplace_back(synthValue(sys, assignment, i));
+    return fixed;
+}
 
 } // namespace
 
@@ -78,6 +110,7 @@ recordWindowStat(const WindowStat &stat)
     s_aig_nodes.add(stat.aig_nodes);
     s_reused_nodes.add(stat.reused_aig_nodes);
     s_sat_calls.add(stat.sat_calls);
+    s_sim_cycles.add(stat.replay_cycles);
     s_learnt_peak.record(stat.learnt_peak);
     if (stat.sat_calls == 0 && stat.aig_nodes == 0)
         s_fastforward.add(1);
@@ -122,8 +155,8 @@ ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                sim::SimBackend backend)
     : _sys(sys), _io(resolved), _init(std::move(init)),
       _backend(backend),
-      _interp(sys, sim::SimOptions{sim::XPolicy::Keep,
-                                   sim::XPolicy::Keep, 1})
+      _off(ir::specialize(sys, fixedUnder(sys, SynthAssignment{}))),
+      _off_interp(_off, kReplayOptions)
 {
     check(_init.size() == sys.states.size(), "init size mismatch");
     // A trace column that names no design port is malformed user
@@ -144,46 +177,27 @@ ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
 }
 
 void
-ConcreteRunner::seedStates(const std::vector<Value> &states)
-{
-    for (size_t i = 0; i < states.size(); ++i)
-        _interp.setState(i, states[i]);
-}
-
-void
-ConcreteRunner::applyAssignment(const SynthAssignment &assignment)
-{
-    for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
-        auto it = assignment.values.find(_sys.synth_vars[i].name);
-        Value v = it != assignment.values.end()
-                      ? it->second
-                      : Value::zeros(_sys.synth_vars[i].width);
-        _interp.setSynthVar(i, v);
-    }
-}
-
-void
-ConcreteRunner::applyInputs(size_t cycle)
+ConcreteRunner::applyInputs(sim::Interpreter &interp, size_t cycle)
 {
     for (size_t i = 0; i < _input_map.size(); ++i) {
-        _interp.setInput(static_cast<size_t>(_input_map[i]),
-                         _io.input_rows[cycle][i]);
+        interp.setInput(static_cast<size_t>(_input_map[i]),
+                        _io.input_rows[cycle][i]);
     }
 }
 
 sim::ReplayResult
-ConcreteRunner::run(const SynthAssignment &assignment)
+ConcreteRunner::replay(sim::Interpreter &interp)
 {
-    applyAssignment(assignment);
-    seedStates(_init);
+    for (size_t i = 0; i < _init.size(); ++i)
+        interp.setState(i, _init[i]);
     sim::ReplayResult result;
     for (size_t cycle = 0; cycle < _io.length(); ++cycle) {
-        applyInputs(cycle);
-        _interp.evalCycle();
+        applyInputs(interp, cycle);
+        interp.evalCycle();
         for (size_t i = 0; i < _output_map.size(); ++i) {
             const Value &expected = _io.output_rows[cycle][i];
-            const Value &got = _interp.output(
-                static_cast<size_t>(_output_map[i]));
+            const Value &got =
+                interp.output(static_cast<size_t>(_output_map[i]));
             if (!got.matches(expected)) {
                 result.passed = false;
                 result.first_failure = cycle;
@@ -191,16 +205,37 @@ ConcreteRunner::run(const SynthAssignment &assignment)
                 return result;
             }
         }
-        _interp.step();
+        interp.step();
     }
     result.first_failure = _io.length();
     return result;
 }
 
+sim::ReplayResult
+ConcreteRunner::runScalar(const SynthAssignment &assignment)
+{
+    ir::TransitionSystem spec =
+        ir::specialize(_sys, fixedUnder(_sys, assignment));
+    sim::Interpreter interp(spec, kReplayOptions);
+    return replay(interp);
+}
+
+sim::ReplayResult
+ConcreteRunner::run(const SynthAssignment &assignment)
+{
+    if (assignment.values.empty()) {
+        telemetry::Span span("replay:baseline");
+        return replay(_off_interp);
+    }
+    telemetry::Span span("replay:candidates");
+    return runScalar(assignment);
+}
+
 std::vector<sim::ReplayResult>
 ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
 {
-    std::vector<sim::ReplayResult> out(assignments.size());
+    telemetry::Span span("replay:candidates");
+    std::vector<sim::ReplayResult> out;
     sim::SimBackend resolved = sim::resolveSimBackend(_backend);
     bool scalar =
         resolved == sim::SimBackend::Event || assignments.size() <= 1;
@@ -217,8 +252,11 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
         scalar = maxw > 64;
     }
     if (scalar) {
-        for (size_t i = 0; i < assignments.size(); ++i)
-            out[i] = run(assignments[i]);
+        for (const auto &a : assignments) {
+            out.push_back(runScalar(a));
+            if (out.back().passed)
+                break;
+        }
         return out;
     }
     using bv::PackedValue;
@@ -226,19 +264,32 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
          base += PackedValue::kLanes) {
         uint32_t n = static_cast<uint32_t>(std::min<size_t>(
             PackedValue::kLanes, assignments.size() - base));
-        sim::VecInterpreter vi(_sys, n);
-        for (uint32_t l = 0; l < n; ++l) {
-            const SynthAssignment &a = assignments[base + l];
-            for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
-                auto it = a.values.find(_sys.synth_vars[i].name);
-                Value v = it != a.values.end()
-                              ? it->second
-                              : Value::zeros(_sys.synth_vars[i].width);
-                vi.setSynthVar(i, l, v);
-            }
+        // Variables every lane agrees on are folded into the system;
+        // only the ones that differ stay per-lane inputs.
+        std::vector<std::vector<Value>> lanes(_sys.synth_vars.size());
+        std::vector<std::optional<Value>> fixed(_sys.synth_vars.size());
+        for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
+            lanes[i].reserve(n);
+            for (uint32_t l = 0; l < n; ++l)
+                lanes[i].push_back(
+                    synthValue(_sys, assignments[base + l], i));
+            bool agree = true;
+            for (uint32_t l = 1; l < n && agree; ++l)
+                agree = lanes[i][l] == lanes[i][0];
+            if (agree)
+                fixed[i] = lanes[i][0];
+        }
+        ir::TransitionSystem spec = ir::specialize(_sys, fixed);
+        sim::VecInterpreter vi(spec, n);
+        for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
+            if (fixed[i])
+                continue;
+            for (uint32_t l = 0; l < n; ++l)
+                vi.setSynthVar(i, l, lanes[i][l]);
         }
         for (size_t i = 0; i < _init.size(); ++i)
             vi.setStateAll(i, _init[i]);
+        out.resize(base + n);
         uint64_t still = vi.allLanes();
         for (size_t cycle = 0; cycle < _io.length() && still;
              ++cycle) {
@@ -267,20 +318,13 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
             vi.step();
         }
         for (uint32_t l = 0; l < n; ++l) {
-            if ((still >> l) & 1)
+            if ((still >> l) & 1) {
                 out[base + l].first_failure = _io.length();
+                out.resize(base + l + 1);
+                return out;
+            }
         }
     }
-    return out;
-}
-
-std::vector<Value>
-ConcreteRunner::currentStates()
-{
-    std::vector<Value> out;
-    out.reserve(_sys.states.size());
-    for (size_t i = 0; i < _sys.states.size(); ++i)
-        out.push_back(_interp.stateValue(i));
     return out;
 }
 
@@ -289,6 +333,7 @@ ConcreteRunner::statesAt(size_t cycle)
 {
     if (cycle == 0)
         return _init;
+    telemetry::Span span("replay:prefix");
     auto it = _snapshots.upper_bound(cycle);
     if (it != _snapshots.begin()) {
         --it;
@@ -310,15 +355,22 @@ ConcreteRunner::statesFrom(size_t snapshot_cycle,
     // the next call resumes from.
     constexpr size_t kStride = 16;
     constexpr size_t kTail = 64;
-    applyAssignment(SynthAssignment{});  // all φ off
-    seedStates(snapshot);
+    auto currentStates = [&] {
+        std::vector<Value> states;
+        states.reserve(_off.states.size());
+        for (size_t i = 0; i < _off.states.size(); ++i)
+            states.push_back(_off_interp.stateValue(i));
+        return states;
+    };
+    for (size_t i = 0; i < snapshot.size(); ++i)
+        _off_interp.setState(i, snapshot[i]);
     for (size_t c = snapshot_cycle; c < cycle; ++c) {
         if (c > snapshot_cycle && c % kStride == 0 &&
             cycle - c <= kTail) {
             _snapshots.emplace(c, currentStates());
         }
-        applyInputs(c);
-        _interp.step();
+        applyInputs(_off_interp, c);
+        _off_interp.step();
     }
     std::vector<Value> out = currentStates();
     _snapshots.emplace(cycle, out);
@@ -326,6 +378,15 @@ ConcreteRunner::statesFrom(size_t snapshot_cycle,
 }
 
 namespace {
+
+uint64_t
+totalReplayCycles(const std::vector<sim::ReplayResult> &replays)
+{
+    uint64_t total = 0;
+    for (const auto &r : replays)
+        total += replayCycles(r);
+    return total;
+}
 
 EngineResult
 runBasic(const ir::TransitionSystem &sys,
@@ -367,7 +428,8 @@ runBasic(const ir::TransitionSystem &sys,
     }
     std::vector<sim::ReplayResult> replays =
         runner.runBatch(synth.repairs);
-    for (size_t i = 0; i < synth.repairs.size(); ++i) {
+    result.windows.back().replay_cycles = totalReplayCycles(replays);
+    for (size_t i = 0; i < replays.size(); ++i) {
         if (replays[i].passed) {
             result.status = EngineResult::Status::Repaired;
             result.assignment = synth.repairs[i];
@@ -561,7 +623,8 @@ runEngine(const ir::TransitionSystem &sys,
         size_t latest_failure = f;
         std::vector<sim::ReplayResult> replays =
             runner.runBatch(synth.repairs);
-        for (size_t i = 0; i < synth.repairs.size(); ++i) {
+        result.windows.back().replay_cycles = totalReplayCycles(replays);
+        for (size_t i = 0; i < replays.size(); ++i) {
             const sim::ReplayResult &r = replays[i];
             if (r.passed) {
                 result.status = EngineResult::Status::Repaired;
@@ -572,9 +635,6 @@ runEngine(const ir::TransitionSystem &sys,
                     static_cast<int>(ladder.k_future);
                 return result;
             }
-            // Candidates past the first passing one never ran in the
-            // serial loop; the in-order early return above keeps the
-            // window-growth feedback identical.
             if (r.first_failure > f) {
                 any_later = true;
                 latest_failure =

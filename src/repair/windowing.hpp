@@ -80,6 +80,10 @@ struct WindowStat
     uint64_t restarts = 0;
     /** Learnt-clause database high-water mark of the solve. */
     uint64_t learnt_peak = 0;
+    /** Trace cycles replayed validating this window's candidates,
+     *  over the replays up to the first passing one (the same count
+     *  on the scalar and the 64-lane backend). */
+    uint64_t replay_cycles = 0;
     /** Seconds left on the governing deadline when the solve returned
      *  (negative = no deadline / unlimited). */
     double deadline_slack = -1.0;
@@ -177,6 +181,12 @@ struct WindowLadder
 /**
  * Validates candidate assignments by concrete simulation of the
  * instrumented system over the resolved trace.
+ *
+ * Every replay runs on the system specialized (ir::specialize) under
+ * the assignment it replays, as the paper's patch step substitutes
+ * φ/α before simulating: dead change sites fold away and cost nothing
+ * per cycle.  The all-off specialization is built once per runner and
+ * serves the baseline run and the prefix simulation of statesAt().
  */
 class ConcreteRunner
 {
@@ -186,15 +196,21 @@ class ConcreteRunner
                    const trace::IoTrace &resolved,
                    std::vector<bv::Value> init,
                    sim::SimBackend backend = sim::SimBackend::Auto);
+    // The all-off interpreter refers to the runner's own _off.
+    ConcreteRunner(const ConcreteRunner &) = delete;
+    ConcreteRunner &operator=(const ConcreteRunner &) = delete;
 
-    /** Replay with @p assignment; stops at the first mismatch. */
+    /** Replay with @p assignment (variables it does not name are
+     *  zero); stops at the first mismatch. */
     sim::ReplayResult run(const templates::SynthAssignment &assignment);
 
     /**
-     * Replay every assignment, stopping each at its first mismatch.
-     * Result i corresponds to assignment i and is identical to
-     * run(assignments[i]); the vectorized backend packs up to 64
-     * candidates per pass.
+     * Replay the assignments in order until one passes, stopping each
+     * at its first mismatch.  Result i is identical to
+     * run(assignments[i]); the list ends at the first passing
+     * candidate, and results after it are not computed.  The
+     * vectorized backend packs up to 64 candidates per pass, on the
+     * system specialized under the variables all of them agree on.
      */
     std::vector<sim::ReplayResult>
     runBatch(const std::vector<templates::SynthAssignment> &assignments);
@@ -215,21 +231,33 @@ class ConcreteRunner
     statesFrom(size_t snapshot_cycle,
                const std::vector<bv::Value> &snapshot, size_t cycle);
 
-    std::vector<bv::Value> currentStates();
-    void seedStates(const std::vector<bv::Value> &states);
-    void applyAssignment(const templates::SynthAssignment &assignment);
-    void applyInputs(size_t cycle);
+    /** Scalar replay: specialize under @p assignment and run it. */
+    sim::ReplayResult runScalar(
+        const templates::SynthAssignment &assignment);
+    /** Replay the trace on @p interp from the initial states. */
+    sim::ReplayResult replay(sim::Interpreter &interp);
+    void applyInputs(sim::Interpreter &interp, size_t cycle);
 
     const ir::TransitionSystem &_sys;
     const trace::IoTrace &_io;
     std::vector<bv::Value> _init;
     sim::SimBackend _backend;
-    sim::Interpreter _interp;
+    /** _sys with every synthesis variable zero (all φ off). */
+    ir::TransitionSystem _off;
+    sim::Interpreter _off_interp;  ///< runs _off
     std::vector<int> _input_map;   ///< trace col -> input index
     std::vector<int> _output_map;  ///< trace col -> output index
     /** All-off prefix-state snapshots, keyed by cycle. */
     std::map<size_t, std::vector<bv::Value>> _snapshots;
 };
+
+/** Cycles a replay simulated: through the failing cycle, or the whole
+ *  trace when it passed. */
+inline uint64_t
+replayCycles(const sim::ReplayResult &r)
+{
+    return r.passed ? r.first_failure : r.first_failure + 1;
+}
 
 /** Run the repair engine on one instrumented system. */
 EngineResult runEngine(const ir::TransitionSystem &sys,

@@ -76,10 +76,11 @@ Solver::addClause(std::vector<Lit> lits)
         return false;
     check(_trail_lim.empty(), "addClause above decision level 0");
 
-    // Normalize: sort, dedup, drop false lits, detect tautology.
+    // Normalize in place: sort, dedup, drop false lits, detect
+    // tautology.
     std::sort(lits.begin(), lits.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
+    size_t out = 0;
     Lit prev = kUndefLit;
     for (Lit l : lits) {
         check(var(l) >= 0 && var(l) < numVars(),
@@ -88,34 +89,42 @@ Solver::addClause(std::vector<Lit> lits)
             return true;  // satisfied or tautological
         if (value(l) == LBool::False || l == prev)
             continue;
-        out.push_back(l);
+        lits[out++] = l;
         prev = l;
     }
 
-    if (out.empty()) {
+    if (out == 0) {
         _ok = false;
         return false;
     }
-    if (out.size() == 1) {
-        uncheckedEnqueue(out[0], kNoReason);
+    if (out == 1) {
+        uncheckedEnqueue(lits[0], kNoReason);
         _ok = propagate() == kNoReason;
         return _ok;
     }
-
-    ClauseRef cref = static_cast<ClauseRef>(_clauses.size());
-    Clause clause;
-    clause.lits = std::move(out);
-    _clauses.push_back(std::move(clause));
-    attachClause(cref);
+    attachClause(newClause(lits.data(), out, false));
     return true;
+}
+
+Solver::ClauseRef
+Solver::newClause(const Lit *first, size_t size, bool learnt)
+{
+    check(_lits.size() + size <= UINT32_MAX, "clause pool overflow");
+    Clause c;
+    c.learnt = learnt;
+    c.start = static_cast<uint32_t>(_lits.size());
+    c.size = static_cast<uint32_t>(size);
+    _lits.insert(_lits.end(), first, first + size);
+    _clauses.push_back(c);
+    return static_cast<ClauseRef>(_clauses.size() - 1);
 }
 
 void
 Solver::attachClause(ClauseRef cref)
 {
-    const Clause &c = _clauses[cref];
-    _watches[(~c.lits[0]).x].push_back(Watcher{cref, c.lits[1]});
-    _watches[(~c.lits[1]).x].push_back(Watcher{cref, c.lits[0]});
+    const Lit *c = lits(_clauses[cref]);
+    _watches[(~c[0]).x].push_back(Watcher{cref, c[1]});
+    _watches[(~c[1]).x].push_back(Watcher{cref, c[0]});
 }
 
 void
@@ -142,25 +151,26 @@ Solver::propagate()
                 watchers[keep++] = w;
                 continue;
             }
-            Clause &c = _clauses[w.clause];
-            if (c.removed)
+            const Clause &clause = _clauses[w.clause];
+            if (clause.removed)
                 continue;  // lazily dropped
-            // Ensure the false literal is lits[1].
+            Lit *c = lits(clause);
+            // Ensure the false literal is c[1].
             Lit false_lit = ~p;
-            if (c.lits[0] == false_lit)
-                std::swap(c.lits[0], c.lits[1]);
+            if (c[0] == false_lit)
+                std::swap(c[0], c[1]);
             // First watch true?
-            if (value(c.lits[0]) == LBool::True) {
-                watchers[keep++] = Watcher{w.clause, c.lits[0]};
+            if (value(c[0]) == LBool::True) {
+                watchers[keep++] = Watcher{w.clause, c[0]};
                 continue;
             }
             // Look for a new watch.
             bool found = false;
-            for (size_t k = 2; k < c.lits.size(); ++k) {
-                if (value(c.lits[k]) != LBool::False) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    _watches[(~c.lits[1]).x].push_back(
-                        Watcher{w.clause, c.lits[0]});
+            for (size_t k = 2; k < clause.size; ++k) {
+                if (value(c[k]) != LBool::False) {
+                    std::swap(c[1], c[k]);
+                    _watches[(~c[1]).x].push_back(
+                        Watcher{w.clause, c[0]});
                     found = true;
                     break;
                 }
@@ -168,8 +178,8 @@ Solver::propagate()
             if (found)
                 continue;
             // Unit or conflicting.
-            watchers[keep++] = Watcher{w.clause, c.lits[0]};
-            if (value(c.lits[0]) == LBool::False) {
+            watchers[keep++] = Watcher{w.clause, c[0]};
+            if (value(c[0]) == LBool::False) {
                 // Conflict: keep remaining watchers, then report.
                 for (size_t rest = wi + 1; rest < watchers.size();
                      ++rest) {
@@ -179,7 +189,7 @@ Solver::propagate()
                 _qhead = _trail.size();
                 return w.clause;
             }
-            uncheckedEnqueue(c.lits[0], w.clause);
+            uncheckedEnqueue(c[0], w.clause);
         }
         watchers.resize(keep);
     }
@@ -202,9 +212,10 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
         Clause &c = _clauses[reason];
         if (c.learnt)
             claBumpActivity(c);
+        const Lit *cl = lits(c);
         size_t start = (p == kUndefLit) ? 0 : 1;
-        for (size_t i = start; i < c.lits.size(); ++i) {
-            Lit q = c.lits[i];
+        for (size_t i = start; i < c.size; ++i) {
+            Lit q = cl[i];
             Var v = var(q);
             if (_seen[v] || _level[v] == 0)
                 continue;
@@ -271,8 +282,9 @@ Solver::litRedundant(Lit l, uint32_t abstract_levels)
         _analyze_stack.pop_back();
         check(_reason[var(cur)] != kNoReason, "redundancy on decision");
         const Clause &c = _clauses[_reason[var(cur)]];
-        for (size_t i = 1; i < c.lits.size(); ++i) {
-            Lit q = c.lits[i];
+        const Lit *cl = lits(c);
+        for (size_t i = 1; i < c.size; ++i) {
+            Lit q = cl[i];
             Var v = var(q);
             if (_seen[v] || _level[v] == 0)
                 continue;
@@ -315,7 +327,9 @@ Solver::analyzeFinal(Lit failing)
             _conflict.push_back(_trail[i]);
         } else {
             const Clause &c = _clauses[_reason[v]];
-            for (Lit q : c.lits) {
+            const Lit *cl = lits(c);
+            for (size_t k = 0; k < c.size; ++k) {
+                Lit q = cl[k];
                 if (var(q) != v && _level[var(q)] > 0)
                     _seen[var(q)] = true;
             }
@@ -463,7 +477,7 @@ Solver::reduceDB()
     // binary clauses and current reasons).
     std::vector<float> acts;
     for (const auto &c : _clauses) {
-        if (c.learnt && !c.removed && c.lits.size() > 2)
+        if (c.learnt && !c.removed && c.size > 2)
             acts.push_back(c.activity);
     }
     if (acts.size() < 2)
@@ -479,28 +493,38 @@ Solver::reduceDB()
     }
     for (size_t i = 0; i < _clauses.size(); ++i) {
         Clause &c = _clauses[i];
-        if (c.learnt && !c.removed && c.lits.size() > 2 &&
+        if (c.learnt && !c.removed && c.size > 2 &&
             !is_reason[i] && c.activity < median) {
             c.removed = true;
         }
     }
 
-    // Physically compact the clause arena: long-lived incremental
-    // sessions would otherwise accumulate ghost clauses that every
-    // rebuildWatches() and activity rescale still iterates.  Reason
-    // clauses are never marked removed (see above), so remapping the
-    // surviving references keeps the trail's implication graph valid.
+    // Physically compact the headers and the literal pool together:
+    // long-lived incremental sessions would otherwise accumulate ghost
+    // clauses that every rebuildWatches() and activity rescale still
+    // iterates.  Survivors keep their order and their literal order,
+    // so the search is unchanged.  Reason clauses are never marked
+    // removed (see above), so remapping the surviving references
+    // keeps the trail's implication graph valid.
     std::vector<ClauseRef> remap(_clauses.size(), kNoReason);
     size_t out = 0;
+    size_t pool = 0;
     for (size_t i = 0; i < _clauses.size(); ++i) {
-        if (_clauses[i].removed)
+        Clause c = _clauses[i];
+        if (c.removed)
             continue;
         remap[i] = static_cast<ClauseRef>(out);
-        if (out != i)
-            _clauses[out] = std::move(_clauses[i]);
-        ++out;
+        if (c.start != pool) {
+            std::copy(_lits.begin() + c.start,
+                      _lits.begin() + c.start + c.size,
+                      _lits.begin() + pool);
+        }
+        c.start = static_cast<uint32_t>(pool);
+        pool += c.size;
+        _clauses[out++] = c;
     }
     _clauses.resize(out);
+    _lits.resize(pool);
     for (auto &r : _reason) {
         if (r != kNoReason)
             r = remap[r];
@@ -574,12 +598,8 @@ Solver::solve(const std::vector<Lit> &assumptions,
                 uncheckedEnqueue(learnt[0], kNoReason);
             } else {
                 ClauseRef cref =
-                    static_cast<ClauseRef>(_clauses.size());
-                Clause clause;
-                clause.learnt = true;
-                clause.lits = learnt;
-                _clauses.push_back(std::move(clause));
-                claBumpActivity(_clauses.back());
+                    newClause(learnt.data(), learnt.size(), true);
+                claBumpActivity(_clauses[cref]);
                 attachClause(cref);
                 uncheckedEnqueue(learnt[0], cref);
                 ++_num_learnt;

@@ -128,12 +128,15 @@ class Solver
     size_t numLearnt() const { return _num_learnt; }
 
   private:
+    /** Fixed-size clause header; the literals are
+     *  _lits[start, start + size). */
     struct Clause
     {
         float activity = 0.0f;
         bool learnt = false;
         bool removed = false;
-        std::vector<Lit> lits;
+        uint32_t start = 0;
+        uint32_t size = 0;
     };
     using ClauseRef = uint32_t;
     static constexpr ClauseRef kNoReason = 0xffffffffu;
@@ -143,6 +146,15 @@ class Solver
         ClauseRef clause;
         Lit blocker;
     };
+
+    Lit *lits(const Clause &c) { return _lits.data() + c.start; }
+    const Lit *lits(const Clause &c) const
+    {
+        return _lits.data() + c.start;
+    }
+    /** Append a clause over @p size literals from @p first (size >= 2)
+     *  and return its ref. */
+    ClauseRef newClause(const Lit *first, size_t size, bool learnt);
 
     LBool value(Lit l) const;
     LBool value(Var v) const { return _assigns[v]; }
@@ -174,6 +186,9 @@ class Solver
 
     bool _ok = true;
     std::vector<Clause> _clauses;
+    /** Literal pool shared by every clause: one allocation instead
+     *  of one per clause.  reduceDB compacts it with the headers. */
+    std::vector<Lit> _lits;
     std::vector<std::vector<Watcher>> _watches;  ///< indexed by lit.x
     std::vector<LBool> _assigns;
     std::vector<bool> _polarity;       ///< phase saving

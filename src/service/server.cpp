@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <deque>
+#include <mutex>
 
 #include "service/json.hpp"
 #include "trace/io_trace.hpp"
@@ -71,6 +72,11 @@ struct Server::Job
     JobRequest req;
     CancelToken cancel;
     std::shared_ptr<Connection> conn;
+    /** Held by handleSubmit from admission until the job is journalled
+     *  and registered, and taken first by runJob: a job that finishes
+     *  at once must not log done or leave _active before its start
+     *  was logged and it was entered there. */
+    std::mutex registering;
 };
 
 Server::Server(ServerConfig config)
@@ -329,6 +335,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     auto job = std::make_shared<Job>();
     job->req = req;
     job->conn = conn;
+    std::unique_lock<std::mutex> registering(job->registering);
     Admission verdict =
         _queue.submit(req.id, req.tenant, req.priority, job);
     if (verdict != Admission::Admitted) {
@@ -349,6 +356,7 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
         std::lock_guard<std::mutex> lock(conn->jobs_mutex);
         conn->jobs.push_back(job);
     }
+    registering.unlock();
     serviceCounter("jobs.accepted").add(1);
     send(conn, acceptedLine(req.id, _queue.queued()));
 }
@@ -407,6 +415,7 @@ Server::finishJob(const std::shared_ptr<Job> &job,
 void
 Server::runJob(const std::shared_ptr<Job> &job)
 {
+    { std::lock_guard<std::mutex> registered(job->registering); }
     const JobRequest &req = job->req;
     try {
         if (job->cancel.cancelled()) {

@@ -34,6 +34,7 @@ faultKindName(FaultKind kind)
       case FaultKind::Panic: return "panic";
       case FaultKind::BadAlloc: return "alloc";
       case FaultKind::Timeout: return "timeout";
+      case FaultKind::Hold: return "hold";
     }
     return "?";
 }
@@ -56,8 +57,7 @@ void
 FaultInjector::configure(const std::string &spec)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    _counts.clear();
-    _fired = false;
+    restart();
     if (spec.empty()) {
         _armed.store(false, std::memory_order_relaxed);
         return;
@@ -92,10 +92,29 @@ FaultInjector::configure(const std::string &spec)
 }
 
 void
+FaultInjector::holdAt(const std::string &stage)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    restart();
+    _stage = stage;
+    _kind = FaultKind::Hold;
+    _nth = 1;
+    _armed.store(true, std::memory_order_relaxed);
+}
+
+void
 FaultInjector::reset()
 {
     std::lock_guard<std::mutex> lock(_mutex);
+    restart();
     _armed.store(false, std::memory_order_relaxed);
+}
+
+void
+FaultInjector::restart()
+{
+    ++_generation;
+    _released.notify_all();
     _counts.clear();
     _fired = false;
 }
@@ -121,13 +140,19 @@ FaultInjector::hit(const std::string &stage)
 {
     FaultKind kind;
     {
-        std::lock_guard<std::mutex> lock(_mutex);
+        std::unique_lock<std::mutex> lock(_mutex);
         if (_fired || stage != _stage)
             return;
         if (++_counts[stage] != _nth)
             return;
         _fired = true;  // fire exactly once per configuration
         kind = _kind;
+        if (kind == FaultKind::Hold) {
+            uint64_t generation = _generation;
+            _released.wait(lock,
+                           [&] { return _generation != generation; });
+            return;
+        }
     }
     std::string what =
         format("injected %s fault at stage '%s'",
@@ -141,6 +166,8 @@ FaultInjector::hit(const std::string &stage)
         throw std::bad_alloc();
       case FaultKind::Timeout:
         throw StageTimeoutError(what);
+      case FaultKind::Hold:
+        break;  // returned above
     }
 }
 

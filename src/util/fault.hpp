@@ -20,7 +20,9 @@
 #define RTLREPAIR_UTIL_FAULT_HPP
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -52,6 +54,7 @@ enum class FaultKind {
     Panic,    ///< PanicError (internal-invariant shaped)
     BadAlloc, ///< std::bad_alloc (memory exhaustion shaped)
     Timeout,  ///< StageTimeoutError (budget-overrun shaped)
+    Hold,     ///< no fault: block until reset() (see holdAt())
 };
 
 /** Parse "throw" / "panic" / "alloc" / "timeout"; fatal otherwise. */
@@ -79,7 +82,16 @@ class FaultInjector
      */
     void configure(const std::string &spec);
 
-    /** Disarm and reset all site counters. */
+    /**
+     * Arm a latch instead of a fault: the first visit to @p stage
+     * blocks until reset() or configure() is called.  Tests use it to
+     * keep a job running while they drive the rest of a scenario, so
+     * the scenario does not depend on how fast the job is.  Not
+     * reachable from a spec string, so a user cannot hang a run.
+     */
+    void holdAt(const std::string &stage);
+
+    /** Disarm, reset all site counters and release a held site. */
     void reset();
 
     bool armed() const;
@@ -93,7 +105,13 @@ class FaultInjector
   private:
     FaultInjector() = default;
 
+    /** Release a held site and reset the visit counters (under
+     *  _mutex). */
+    void restart();
+
     mutable std::mutex _mutex;
+    std::condition_variable _released;
+    uint64_t _generation = 0;  ///< bumped by restart()
     std::atomic<bool> _armed{false};
     std::string _stage;
     FaultKind _kind = FaultKind::Throw;

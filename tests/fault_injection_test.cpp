@@ -4,7 +4,10 @@
 // records, and produce identical outcomes at jobs=1 and jobs=4.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
+#include <thread>
 
 #include "repair/driver.hpp"
 #include "util/fault.hpp"
@@ -131,6 +134,27 @@ TEST_F(FaultInjectionTest, FiresExactlyOnceOnTheNthVisit)
     EXPECT_NO_THROW(faultPoint("other"));  // different stage
     EXPECT_THROW(faultPoint("s"), PanicError);  // second visit fires
     EXPECT_NO_THROW(faultPoint("s"));      // never fires again
+}
+
+TEST_F(FaultInjectionTest, HoldBlocksTheFirstVisitUntilReset)
+{
+    FaultInjector &inj = FaultInjector::instance();
+    inj.holdAt("s");
+    EXPECT_EQ(inj.description(), "s:hold:1");
+    // A spec string cannot arm a hold: a user run must not hang.
+    EXPECT_THROW(inj.configure("s:hold"), FatalError);
+    inj.holdAt("s");
+    std::atomic<bool> passed{false};
+    std::thread held([&] {
+        faultPoint("s");
+        passed = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(passed);
+    inj.reset();
+    held.join();
+    EXPECT_TRUE(passed);
+    EXPECT_NO_THROW(faultPoint("s"));  // released and disarmed
 }
 
 TEST_F(FaultInjectionTest, SweepAllSitesAndKindsAtBothJobCounts)

@@ -41,31 +41,135 @@ TEST(Sat, UnitPropagationChains)
         EXPECT_TRUE(s.modelValue(v));
 }
 
+namespace {
+
+/**
+ * Add PHP(P, H), @p pigeons into @p holes, to @p s and return its
+ * clauses.  With a @p guard literal every clause also holds when the
+ * guard is true, so the instance is active only under ~guard.
+ */
+std::vector<std::vector<Lit>>
+addPigeonhole(Solver &s, int pigeons, int holes,
+              Lit guard = sat::kUndefLit)
+{
+    std::vector<std::vector<Var>> x(pigeons, std::vector<Var>(holes));
+    for (int p = 0; p < pigeons; ++p) {
+        for (int h = 0; h < holes; ++h)
+            x[p][h] = s.newVar();
+    }
+    std::vector<std::vector<Lit>> clauses;
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<Lit> clause;
+        for (int h = 0; h < holes; ++h)
+            clause.push_back(mkLit(x[p][h]));
+        clauses.push_back(clause);
+    }
+    for (int h = 0; h < holes; ++h) {
+        for (int p1 = 0; p1 < pigeons; ++p1) {
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                clauses.push_back(
+                    {mkLit(x[p1][h], true), mkLit(x[p2][h], true)});
+        }
+    }
+    for (auto &clause : clauses) {
+        if (guard != sat::kUndefLit)
+            clause.push_back(guard);
+        s.addClause(clause);
+    }
+    return clauses;
+}
+
+} // namespace
+
 TEST(Sat, PigeonholeIsUnsat)
 {
     // 4 pigeons into 3 holes.
-    const int P = 4, H = 3;
     Solver s;
-    std::vector<std::vector<Var>> x(P, std::vector<Var>(H));
-    for (int p = 0; p < P; ++p) {
-        for (int h = 0; h < H; ++h)
-            x[p][h] = s.newVar();
-    }
-    for (int p = 0; p < P; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < H; ++h)
-            clause.push_back(mkLit(x[p][h]));
-        s.addClause(clause);
-    }
-    for (int h = 0; h < H; ++h) {
-        for (int p1 = 0; p1 < P; ++p1) {
-            for (int p2 = p1 + 1; p2 < P; ++p2)
-                s.addClause(mkLit(x[p1][h], true),
-                            mkLit(x[p2][h], true));
-        }
-    }
+    addPigeonhole(s, 4, 3);
     EXPECT_EQ(s.solve(), LBool::False);
     EXPECT_GT(s.conflicts, 0u);
+}
+
+// The search is deterministic, so the conflict counts are pinned: a
+// change to clause storage or database reduction that alters the
+// search order shows here.  PHP(8, 7) crosses reduceDB once (the
+// learnt limit starts at 4000).
+TEST(Sat, Pigeonhole87CrossesReduceDb)
+{
+    Solver s;
+    addPigeonhole(s, 8, 7);
+    EXPECT_EQ(s.solve(), LBool::False);
+    EXPECT_EQ(s.conflicts, 5456u);
+    EXPECT_EQ(s.learnt_peak, 4001u);
+}
+
+TEST(Sat, Pigeonhole98)
+{
+    Solver s;
+    addPigeonhole(s, 9, 8);
+    EXPECT_EQ(s.solve(), LBool::False);
+    EXPECT_EQ(s.conflicts, 20646u);
+}
+
+TEST(Sat, IncrementalModelsStaySoundAcrossReduceDb)
+{
+    // A guarded PHP(9, 8) fills and reduces the learnt database under
+    // an assumption; the solves after it, on the compacted database,
+    // must still return models of the original clauses.
+    Solver s;
+    Var act = s.newVar();
+    std::vector<std::vector<Lit>> clauses =
+        addPigeonhole(s, 9, 8, mkLit(act, true));
+    for (auto &clause : clauses)
+        clause.push_back(mkLit(act, true));
+
+    // Planted-solution random 3-SAT beside it, always active.
+    Rng rng(11);
+    const int n = 60;
+    std::vector<Var> vars;
+    std::vector<bool> planted;
+    for (int i = 0; i < n; ++i) {
+        vars.push_back(s.newVar());
+        planted.push_back(rng.chance(0.5));
+    }
+    for (int c = 0; c < 250; ++c) {
+        std::vector<Lit> clause;
+        for (int k = 0; k < 3; ++k) {
+            Var v = vars[rng.below(n)];
+            clause.push_back(mkLit(v, rng.chance(0.5)));
+        }
+        Var kv = sat::var(clause[0]);
+        clause[0] = mkLit(kv, !planted[kv - vars[0]]);
+        s.addClause(clause);
+        clauses.push_back(clause);
+    }
+
+    ASSERT_EQ(s.solve({mkLit(act)}), LBool::False);
+    EXPECT_GT(s.learnt_peak, 4000u) << "reduceDB was not reached";
+    ASSERT_EQ(s.conflictCore().size(), 1u);
+    EXPECT_EQ(s.conflictCore()[0], mkLit(act));
+
+    for (int round = 0; round < 20; ++round) {
+        // Assumptions that agree with the planted solution.
+        std::vector<Lit> assumptions{mkLit(act, true)};
+        for (int k = 0; k < 5; ++k) {
+            size_t i = rng.below(n);
+            assumptions.push_back(mkLit(vars[i], !planted[i]));
+        }
+        ASSERT_EQ(s.solve(assumptions), LBool::True)
+            << "round " << round;
+        auto holds = [&](Lit l) {
+            return s.modelValue(sat::var(l)) != sat::sign(l);
+        };
+        for (Lit a : assumptions)
+            EXPECT_TRUE(holds(a)) << "round " << round;
+        for (const auto &clause : clauses) {
+            bool sat = false;
+            for (Lit l : clause)
+                sat = sat || holds(l);
+            EXPECT_TRUE(sat) << "round " << round;
+        }
+    }
 }
 
 TEST(Sat, AssumptionsAreIncremental)

@@ -149,6 +149,22 @@ struct RawClient
     }
 };
 
+/** Poll `stats` until @p queued jobs wait in the queue; false when
+ *  that does not happen within about 10 s. */
+bool
+awaitQueued(RawClient &client, double queued)
+{
+    for (int tries = 0; tries < 1000; ++tries) {
+        if (!client.sendMsg("stats"))
+            return false;
+        Json stats = client.await("stats");
+        if (stats.isObject() && stats.num("queued", -1) == queued)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+}
+
 std::string
 submitFor(const std::string &id, const char *design,
           const char *trace, const std::string &tenant = "",
@@ -431,9 +447,12 @@ TEST(Service, OverloadAndTenantCapRejectExplicitly)
     RawClient client(fx.socket_path);
     ASSERT_TRUE(client.ok());
 
-    // Burst 8 submissions in one write: the single worker cannot
-    // drain a depth-1 queue that fast, so the tail must be rejected
-    // with an explicit verdict — never queued unboundedly.
+    // Burst 8 submissions in one write while the single worker is
+    // held on the first job it takes: the depth-1 queue fills, so the
+    // tail must be rejected with an explicit verdict — never queued
+    // unboundedly.  Holding the job keeps the scenario independent of
+    // how fast a repair runs.
+    FaultInjector::instance().holdAt("service:dispatch");
     std::string burst;
     for (int i = 0; i < 8; ++i)
         burst += submitFor("burst-" + std::to_string(i),
@@ -477,6 +496,7 @@ TEST(Service, OverloadAndTenantCapRejectExplicitly)
     }
     EXPECT_GE(accepted, 1);
     EXPECT_GE(overloaded, 1) << "burst never hit admission control";
+    FaultInjector::instance().reset();
 
     // Everything admitted still completes.
     for (const auto &id : accepted_ids) {
@@ -487,24 +507,31 @@ TEST(Service, OverloadAndTenantCapRejectExplicitly)
 
     // Tenant cap: one running job per tenant; the second submission
     // from the same tenant is rejected as tenant-busy even though
-    // the queue has room.
+    // the queue has room.  tb-1 is held once the worker takes it, and
+    // tb-2 is sent only then, when the depth-1 queue is empty.
+    FaultInjector::instance().holdAt("service:dispatch");
     ASSERT_TRUE(client.sendRaw(
-        submitFor("tb-1", kBuggyCounter, kCounterTrace, "team") +
-        submitFor("tb-2", kBuggyCounter, kCounterTrace, "team")));
+        submitFor("tb-1", kBuggyCounter, kCounterTrace, "team")));
     Json first = client.await("accepted", "tb-1");
     ASSERT_TRUE(first.isObject());
+    ASSERT_TRUE(awaitQueued(client, 0));
+    ASSERT_TRUE(client.sendRaw(
+        submitFor("tb-2", kBuggyCounter, kCounterTrace, "team")));
     Json second = client.await("rejected", "tb-2");
     ASSERT_TRUE(second.isObject());
     EXPECT_EQ(second.str("reason"), "tenant-busy");
+    FaultInjector::instance().reset();
     EXPECT_TRUE(client.await("result", "tb-1").isObject());
 
     // Duplicate ids are refused while the original is in flight.
+    FaultInjector::instance().holdAt("service:dispatch");
     ASSERT_TRUE(client.sendRaw(
         submitFor("dup", kBuggyCounter, kCounterTrace) +
         submitFor("dup", kBuggyCounter, kCounterTrace)));
     Json dup = client.await("rejected", "dup");
     ASSERT_TRUE(dup.isObject());
     EXPECT_EQ(dup.str("reason"), "duplicate");
+    FaultInjector::instance().reset();
 }
 
 TEST(Service, CancelWhileQueuedReportsCancelled)
@@ -516,8 +543,9 @@ TEST(Service, CancelWhileQueuedReportsCancelled)
     RawClient client(fx.socket_path);
     ASSERT_TRUE(client.ok());
 
-    // One burst: job A occupies the only worker, job B queues behind
-    // it, and the cancel lands while B is still queued.
+    // One burst: job A is held on the only worker, job B queues
+    // behind it, and the cancel lands while B is still queued.
+    FaultInjector::instance().holdAt("service:dispatch");
     Json cancel_msg = Json::object();
     cancel_msg.set("v", Json::number(kProtocolVersion));
     cancel_msg.set("type", Json::string("cancel"));
@@ -528,6 +556,7 @@ TEST(Service, CancelWhileQueuedReportsCancelled)
         cancel_msg.dump() + "\n"));
 
     EXPECT_TRUE(client.await("cancelled", "cq-b").isObject());
+    FaultInjector::instance().reset();
     Json result_b = client.await("result", "cq-b");
     ASSERT_TRUE(result_b.isObject());
     EXPECT_EQ(result_b.str("status"), "cancelled");
@@ -547,6 +576,11 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
     config.workers = 1;
     ServerFixture fx("service_disconnect", config);
 
+    // dc-a is held on the only worker, so dc-b is still queued when
+    // the connection closes.  The server notices the close on its own
+    // reader thread, which nothing here can observe; the release waits
+    // 100 ms for it, and dc-a then still runs before dc-b is taken.
+    FaultInjector::instance().holdAt("service:dispatch");
     {
         RawClient doomed(fx.socket_path);
         ASSERT_TRUE(doomed.ok());
@@ -554,7 +588,9 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
             submitFor("dc-a", kBuggyCounter, kCounterTrace) +
             submitFor("dc-b", kBuggyCounter, kCounterTrace)));
         ASSERT_TRUE(doomed.await("accepted", "dc-b").isObject());
-    }  // connection closes with dc-b queued (dc-a may be running)
+    }  // connection closes with dc-b queued
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    FaultInjector::instance().reset();
 
     // The orphaned queued job must finish as cancelled (visible via
     // the recent-results ring), not burn the worker.

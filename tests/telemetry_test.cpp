@@ -264,17 +264,27 @@ TEST_F(TelemetryTest, DeterministicCountersAcrossJobs)
     EXPECT_GT(counterValue("window.solves",
                            telemetry::MetricKind::Deterministic),
               0u);
+    // Candidate replays are counted in cycles (part of the
+    // jobs-independent group compared above).
+    EXPECT_GT(counterValue("sim.cycles",
+                           telemetry::MetricKind::Deterministic),
+              0u);
     // Spans cover the pipeline stages.
     bool saw_repair = false, saw_solve = false, saw_window = false;
+    bool saw_baseline = false, saw_candidates = false;
     for (const auto &e : telemetry::events()) {
         saw_repair |= e.name == "repair";
         saw_solve |= e.name == "sat.solve";
         saw_window |= e.name == "window.solve" ||
                       e.name.rfind("solve:", 0) == 0;
+        saw_baseline |= e.name == "replay:baseline";
+        saw_candidates |= e.name == "replay:candidates";
     }
     EXPECT_TRUE(saw_repair);
     EXPECT_TRUE(saw_solve);
     EXPECT_TRUE(saw_window);
+    EXPECT_TRUE(saw_baseline);
+    EXPECT_TRUE(saw_candidates);
 }
 
 } // namespace
