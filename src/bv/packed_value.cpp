@@ -6,19 +6,29 @@
 
 namespace rtlrepair::bv {
 
-PackedValue::PackedValue(uint32_t width)
-    : _width(width), _val(width, 0), _unk(width, 0)
+namespace {
+
+/** Validated plane length of a @p width-bit PackedValue. */
+uint32_t
+checkedWidth(uint32_t width)
 {
     check(width > 0, "zero-width PackedValue");
     if (width > (1u << 22))
         fatal("bit-vector width too large");
+    return width;
 }
+
+} // namespace
+
+PackedValue::PackedValue(uint32_t width)
+    : _p(checkedWidth(width), width)
+{}
 
 void
 PackedValue::normalize()
 {
-    for (uint32_t p = 0; p < _width; ++p)
-        _val[p] &= ~_unk[p];
+    for (uint32_t p = 0; p < width(); ++p)
+        val()[p] &= ~unk()[p];
 }
 
 PackedValue
@@ -31,7 +41,7 @@ PackedValue
 PackedValue::allX(uint32_t width)
 {
     PackedValue r(width);
-    for (auto &w : r._unk)
+    for (auto &w : r.unk())
         w = ~0ull;
     return r;
 }
@@ -40,13 +50,13 @@ PackedValue
 PackedValue::broadcast(const Value &v)
 {
     PackedValue r(v.width());
-    for (uint32_t p = 0; p < r._width; ++p) {
+    for (uint32_t p = 0; p < r.width(); ++p) {
         uint64_t wd = v.bitsWord(p >> 6), xm = v.xmaskWord(p >> 6);
         uint64_t m = 1ull << (p & 63u);
         if (xm & m)
-            r._unk[p] = ~0ull;
+            r.unk()[p] = ~0ull;
         else if (wd & m)
-            r._val[p] = ~0ull;
+            r.val()[p] = ~0ull;
     }
     return r;
 }
@@ -54,10 +64,11 @@ PackedValue::broadcast(const Value &v)
 PackedValue
 PackedValue::pack(const std::vector<Value> &vals, uint32_t width)
 {
-    std::vector<const Value *> ptrs(vals.size());
+    check(vals.size() <= kLanes, "pack: too many lanes");
+    const Value *ptrs[kLanes];
     for (size_t l = 0; l < vals.size(); ++l)
         ptrs[l] = &vals[l];
-    return pack(ptrs.data(), ptrs.size(), width);
+    return pack(ptrs, vals.size(), width);
 }
 
 PackedValue
@@ -81,15 +92,15 @@ PackedValue::pack(const Value *const *vals, size_t n, uint32_t width)
             uint32_t hi = std::min(low, (p & ~63u) + 64u);
             for (; p < hi; ++p) {
                 uint64_t pm = 1ull << (p & 63u);
-                r._val[p] = (bits & pm) ? (r._val[p] | m)
-                                        : (r._val[p] & ~m);
-                r._unk[p] = (xm & pm) ? (r._unk[p] | m)
-                                      : (r._unk[p] & ~m);
+                r.val()[p] = (bits & pm) ? (r.val()[p] | m)
+                                        : (r.val()[p] & ~m);
+                r.unk()[p] = (xm & pm) ? (r.unk()[p] | m)
+                                      : (r.unk()[p] & ~m);
             }
         }
         for (uint32_t p = low; p < width; ++p) {
-            r._val[p] &= ~m;
-            r._unk[p] &= ~m;
+            r.val()[p] &= ~m;
+            r.unk()[p] &= ~m;
         }
     }
     return r;
@@ -99,29 +110,29 @@ Value
 PackedValue::lane(uint32_t l) const
 {
     check(l < kLanes, "lane index out of range");
-    std::vector<uint64_t> bits((_width + 63u) / 64u, 0);
-    std::vector<uint64_t> xmask(bits.size(), 0);
-    for (uint32_t p = 0; p < _width; ++p) {
+    Value v = Value::zeros(width());
+    auto bits = v.bits(), xmask = v.xmask();
+    auto pv = val(), pu = unk();
+    for (uint32_t p = 0; p < width(); ++p) {
         uint64_t pm = 1ull << (p & 63u);
-        if ((_unk[p] >> l) & 1)
+        if ((pu[p] >> l) & 1)
             xmask[p >> 6] |= pm;
-        else if ((_val[p] >> l) & 1)
+        else if ((pv[p] >> l) & 1)
             bits[p >> 6] |= pm;
     }
-    return Value::fromPlanes(_width, std::move(bits),
-                             std::move(xmask));
+    return v;
 }
 
 void
 PackedValue::setLane(uint32_t l, const Value &v)
 {
     check(l < kLanes, "lane index out of range");
-    check(v.width() == _width, "setLane: width mismatch");
+    check(v.width() == width(), "setLane: width mismatch");
     uint64_t m = 1ull << l;
-    for (uint32_t p = 0; p < _width; ++p) {
+    for (uint32_t p = 0; p < width(); ++p) {
         int b = v.bit(p);
-        _val[p] = (b == 1) ? (_val[p] | m) : (_val[p] & ~m);
-        _unk[p] = (b < 0) ? (_unk[p] | m) : (_unk[p] & ~m);
+        val()[p] = (b == 1) ? (val()[p] | m) : (val()[p] & ~m);
+        unk()[p] = (b < 0) ? (unk()[p] | m) : (unk()[p] & ~m);
     }
 }
 
@@ -129,18 +140,20 @@ void
 PackedValue::setBitLanes(uint32_t pos, uint64_t val, uint64_t unk,
                          uint64_t mask)
 {
-    check(pos < _width, "setBitLanes: position out of range");
-    _val[pos] = (_val[pos] & ~mask) | (val & mask);
-    _unk[pos] = (_unk[pos] & ~mask) | (unk & mask);
-    _val[pos] &= ~_unk[pos];
+    check(pos < width(), "setBitLanes: position out of range");
+    uint64_t &v = this->val()[pos];
+    uint64_t &u = this->unk()[pos];
+    v = (v & ~mask) | (val & mask);
+    u = (u & ~mask) | (unk & mask);
+    v &= ~u;
 }
 
 uint64_t
 PackedValue::anyX() const
 {
     uint64_t m = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        m |= _unk[p];
+    for (uint32_t p = 0; p < width(); ++p)
+        m |= unk()[p];
     return m;
 }
 
@@ -148,33 +161,33 @@ uint64_t
 PackedValue::anyOne() const
 {
     uint64_t m = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        m |= _val[p];
+    for (uint32_t p = 0; p < width(); ++p)
+        m |= val()[p];
     return m;
 }
 
 uint64_t
 PackedValue::laneEq(const PackedValue &rhs) const
 {
-    if (_width != rhs._width)
+    if (width() != rhs.width())
         return 0;
     uint64_t diff = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        diff |= (_val[p] ^ rhs._val[p]) | (_unk[p] ^ rhs._unk[p]);
+    for (uint32_t p = 0; p < width(); ++p)
+        diff |= (val()[p] ^ rhs.val()[p]) | (unk()[p] ^ rhs.unk()[p]);
     return ~diff;
 }
 
 uint64_t
 PackedValue::laneMatches(const PackedValue &expected) const
 {
-    if (_width != expected._width) {
-        uint32_t w = std::max(_width, expected._width);
+    if (width() != expected.width()) {
+        uint32_t w = std::max(width(), expected.width());
         return zext(w).laneMatches(expected.zext(w));
     }
     uint64_t bad = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t care = ~expected._unk[p];
-        bad |= care & (_unk[p] | (_val[p] ^ expected._val[p]));
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t care = ~expected.unk()[p];
+        bad |= care & (unk()[p] | (val()[p] ^ expected.val()[p]));
     }
     return ~bad;
 }
@@ -182,12 +195,12 @@ PackedValue::laneMatches(const PackedValue &expected) const
 uint64_t
 PackedValue::laneEqUint(uint64_t target) const
 {
-    uint32_t n = std::min<uint32_t>(_width, 64);
+    uint32_t n = std::min<uint32_t>(width(), 64);
     if (n < 64 && (target >> n) != 0)
         return 0;
     uint64_t m = ~anyX();
     for (uint32_t p = 0; p < n; ++p)
-        m &= ((target >> p) & 1) ? _val[p] : ~_val[p];
+        m &= ((target >> p) & 1) ? val()[p] : ~val()[p];
     return m;
 }
 
@@ -195,11 +208,11 @@ PackedValue
 PackedValue::blend(const PackedValue &a, const PackedValue &b,
                    uint64_t mask)
 {
-    check(a._width == b._width, "blend: width mismatch");
-    PackedValue r(a._width);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        r._val[p] = (a._val[p] & mask) | (b._val[p] & ~mask);
-        r._unk[p] = (a._unk[p] & mask) | (b._unk[p] & ~mask);
+    check(a.width() == b.width(), "blend: width mismatch");
+    PackedValue r(a.width());
+    for (uint32_t p = 0; p < r.width(); ++p) {
+        r.val()[p] = (a.val()[p] & mask) | (b.val()[p] & ~mask);
+        r.unk()[p] = (a.unk()[p] & mask) | (b.unk()[p] & ~mask);
     }
     return r;
 }
@@ -207,21 +220,21 @@ PackedValue::blend(const PackedValue &a, const PackedValue &b,
 PackedValue
 PackedValue::zext(uint32_t new_width) const
 {
-    check(new_width >= _width, "zext must not shrink");
+    check(new_width >= width(), "zext must not shrink");
     PackedValue r(new_width);
-    std::copy(_val.begin(), _val.end(), r._val.begin());
-    std::copy(_unk.begin(), _unk.end(), r._unk.begin());
+    std::copy(val().begin(), val().end(), r.val().begin());
+    std::copy(unk().begin(), unk().end(), r.unk().begin());
     return r;
 }
 
 PackedValue
 PackedValue::sext(uint32_t new_width) const
 {
-    check(new_width >= _width, "sext must not shrink");
+    check(new_width >= width(), "sext must not shrink");
     PackedValue r = zext(new_width);
-    for (uint32_t p = _width; p < new_width; ++p) {
-        r._val[p] = _val[_width - 1];
-        r._unk[p] = _unk[_width - 1];
+    for (uint32_t p = width(); p < new_width; ++p) {
+        r.val()[p] = val()[width() - 1];
+        r.unk()[p] = unk()[width() - 1];
     }
     return r;
 }
@@ -229,11 +242,11 @@ PackedValue::sext(uint32_t new_width) const
 PackedValue
 PackedValue::slice(uint32_t hi, uint32_t lo) const
 {
-    check(hi < _width && lo <= hi, "slice out of range");
+    check(hi < width() && lo <= hi, "slice out of range");
     PackedValue r(hi - lo + 1);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        r._val[p] = _val[lo + p];
-        r._unk[p] = _unk[lo + p];
+    for (uint32_t p = 0; p < r.width(); ++p) {
+        r.val()[p] = val()[lo + p];
+        r.unk()[p] = unk()[lo + p];
     }
     return r;
 }
@@ -241,11 +254,11 @@ PackedValue::slice(uint32_t hi, uint32_t lo) const
 PackedValue
 PackedValue::concat(const PackedValue &low) const
 {
-    PackedValue r(_width + low._width);
-    std::copy(low._val.begin(), low._val.end(), r._val.begin());
-    std::copy(low._unk.begin(), low._unk.end(), r._unk.begin());
-    std::copy(_val.begin(), _val.end(), r._val.begin() + low._width);
-    std::copy(_unk.begin(), _unk.end(), r._unk.begin() + low._width);
+    PackedValue r(width() + low.width());
+    std::copy(low.val().begin(), low.val().end(), r.val().begin());
+    std::copy(low.unk().begin(), low.unk().end(), r.unk().begin());
+    std::copy(val().begin(), val().end(), r.val().begin() + low.width());
+    std::copy(unk().begin(), unk().end(), r.unk().begin() + low.width());
     return r;
 }
 
@@ -253,12 +266,12 @@ PackedValue
 PackedValue::replicate(uint32_t n) const
 {
     check(n > 0, "replicate zero times");
-    PackedValue r(_width * n);
+    PackedValue r(width() * n);
     for (uint32_t i = 0; i < n; ++i) {
-        std::copy(_val.begin(), _val.end(),
-                  r._val.begin() + size_t(i) * _width);
-        std::copy(_unk.begin(), _unk.end(),
-                  r._unk.begin() + size_t(i) * _width);
+        std::copy(val().begin(), val().end(),
+                  r.val().begin() + size_t(i) * width());
+        std::copy(unk().begin(), unk().end(),
+                  r.unk().begin() + size_t(i) * width());
     }
     return r;
 }
@@ -266,10 +279,10 @@ PackedValue::replicate(uint32_t n) const
 PackedValue
 PackedValue::operator~() const
 {
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = ~_val[p] & ~_unk[p];
-        r._unk[p] = _unk[p];
+    PackedValue r(width());
+    for (uint32_t p = 0; p < width(); ++p) {
+        r.val()[p] = ~val()[p] & ~unk()[p];
+        r.unk()[p] = unk()[p];
     }
     return r;
 }
@@ -277,14 +290,15 @@ PackedValue::operator~() const
 PackedValue
 PackedValue::operator&(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "and: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
+    check(width() == rhs.width(), "and: width mismatch");
+    PackedValue r(width());
+    for (uint32_t p = 0; p < width(); ++p) {
         // Known zero on either side dominates any X on the other.
-        uint64_t one = _val[p] & rhs._val[p];
-        uint64_t zero = (~_val[p] & ~_unk[p]) | (~rhs._val[p] & ~rhs._unk[p]);
-        r._val[p] = one;
-        r._unk[p] = ~(one | zero);
+        uint64_t one = val()[p] & rhs.val()[p];
+        uint64_t zero = (~val()[p] & ~unk()[p]) |
+                        (~rhs.val()[p] & ~rhs.unk()[p]);
+        r.val()[p] = one;
+        r.unk()[p] = ~(one | zero);
     }
     return r;
 }
@@ -292,13 +306,14 @@ PackedValue::operator&(const PackedValue &rhs) const
 PackedValue
 PackedValue::operator|(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "or: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t one = _val[p] | rhs._val[p];
-        uint64_t zero = (~_val[p] & ~_unk[p]) & (~rhs._val[p] & ~rhs._unk[p]);
-        r._val[p] = one;
-        r._unk[p] = ~(one | zero);
+    check(width() == rhs.width(), "or: width mismatch");
+    PackedValue r(width());
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t one = val()[p] | rhs.val()[p];
+        uint64_t zero = (~val()[p] & ~unk()[p]) &
+                        (~rhs.val()[p] & ~rhs.unk()[p]);
+        r.val()[p] = one;
+        r.unk()[p] = ~(one | zero);
     }
     return r;
 }
@@ -306,11 +321,11 @@ PackedValue::operator|(const PackedValue &rhs) const
 PackedValue
 PackedValue::operator^(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "xor: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._unk[p] = _unk[p] | rhs._unk[p];
-        r._val[p] = (_val[p] ^ rhs._val[p]) & ~r._unk[p];
+    check(width() == rhs.width(), "xor: width mismatch");
+    PackedValue r(width());
+    for (uint32_t p = 0; p < width(); ++p) {
+        r.unk()[p] = unk()[p] | rhs.unk()[p];
+        r.val()[p] = (val()[p] ^ rhs.val()[p]) & ~r.unk()[p];
     }
     return r;
 }
@@ -318,14 +333,14 @@ PackedValue::operator^(const PackedValue &rhs) const
 PackedValue
 PackedValue::operator+(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "add: width mismatch");
-    PackedValue r(_width);
+    check(width() == rhs.width(), "add: width mismatch");
+    PackedValue r(width());
     uint64_t xl = anyX() | rhs.anyX();
     uint64_t carry = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
-        r._val[p] = (a ^ b ^ carry) & ~xl;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t a = val()[p], b = rhs.val()[p];
+        r.val()[p] = (a ^ b ^ carry) & ~xl;
+        r.unk()[p] = xl;
         carry = (a & b) | (carry & (a ^ b));
     }
     return r;
@@ -334,14 +349,14 @@ PackedValue::operator+(const PackedValue &rhs) const
 PackedValue
 PackedValue::operator-(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "sub: width mismatch");
-    PackedValue r(_width);
+    check(width() == rhs.width(), "sub: width mismatch");
+    PackedValue r(width());
     uint64_t xl = anyX() | rhs.anyX();
     uint64_t carry = ~0ull;  // a + ~b + 1
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = ~rhs._val[p];
-        r._val[p] = (a ^ b ^ carry) & ~xl;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t a = val()[p], b = ~rhs.val()[p];
+        r.val()[p] = (a ^ b ^ carry) & ~xl;
+        r.unk()[p] = xl;
         carry = (a & b) | (carry & (a ^ b));
     }
     return r;
@@ -350,13 +365,13 @@ PackedValue::operator-(const PackedValue &rhs) const
 PackedValue
 PackedValue::negate() const
 {
-    PackedValue r(_width);
+    PackedValue r(width());
     uint64_t xl = anyX();
     uint64_t carry = ~0ull;  // ~a + 1
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = ~_val[p];
-        r._val[p] = (a ^ carry) & ~xl;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t a = ~val()[p];
+        r.val()[p] = (a ^ carry) & ~xl;
+        r.unk()[p] = xl;
         carry = a & carry;
     }
     return r;
@@ -366,7 +381,7 @@ PackedValue
 PackedValue::scalarFallback(const PackedValue &rhs, uint64_t ok_lanes,
                             Value (Value::*op)(const Value &) const) const
 {
-    PackedValue r = allX(_width);
+    PackedValue r = allX(width());
     for (uint32_t l = 0; l < kLanes; ++l) {
         if (!((ok_lanes >> l) & 1))
             continue;
@@ -378,7 +393,7 @@ PackedValue::scalarFallback(const PackedValue &rhs, uint64_t ok_lanes,
 PackedValue
 PackedValue::operator*(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "mul: width mismatch");
+    check(width() == rhs.width(), "mul: width mismatch");
     return scalarFallback(rhs, ~(anyX() | rhs.anyX()),
                           &Value::operator*);
 }
@@ -386,7 +401,7 @@ PackedValue::operator*(const PackedValue &rhs) const
 PackedValue
 PackedValue::udiv(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "udiv: width mismatch");
+    check(width() == rhs.width(), "udiv: width mismatch");
     return scalarFallback(
         rhs, ~(anyX() | rhs.anyX()) & ~rhs.laneZero(), &Value::udiv);
 }
@@ -394,7 +409,7 @@ PackedValue::udiv(const PackedValue &rhs) const
 PackedValue
 PackedValue::urem(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "urem: width mismatch");
+    check(width() == rhs.width(), "urem: width mismatch");
     return scalarFallback(
         rhs, ~(anyX() | rhs.anyX()) & ~rhs.laneZero(), &Value::urem);
 }
@@ -404,7 +419,7 @@ namespace {
 /**
  * Per-lane saturation mask for a shift: lanes whose known amount bits
  * select a shift >= width.  Bit positions >= 64 of the amount are
- * ignored, exactly like the scalar path that reads _bits[0]; the
+ * ignored, exactly like the scalar path that reads bits()[0]; the
  * scalar path instead saturates when any upper *word* is non-zero,
  * which for amount widths > 64 we mirror below.
  */
@@ -426,26 +441,26 @@ shiftSaturation(const PackedValue &amount, uint32_t width)
 PackedValue
 PackedValue::shl(const PackedValue &amount) const
 {
-    PackedValue r(_width);
+    PackedValue r = *this;
     uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
+    uint64_t sat = shiftSaturation(amount, width());
+    auto cur = r.val();
+    for (uint32_t p = 0; p < amount.width() && p < 64; ++p) {
         uint64_t s = 1ull << p;
-        if (s >= _width)
+        if (s >= width())
             break;
-        uint64_t m = amount._val[p];
+        uint64_t m = amount.val()[p];
         if (!m)
             continue;
-        for (uint32_t pos = _width; pos-- > 0;) {
+        for (uint32_t pos = width(); pos-- > 0;) {
             uint64_t in = pos >= s ? cur[pos - s] : 0;
             cur[pos] = (cur[pos] & ~m) | (in & m);
         }
     }
     uint64_t keep = ~xl & ~sat;
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = cur[p] & keep;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        cur[p] &= keep;
+        r.unk()[p] = xl;
     }
     return r;
 }
@@ -453,26 +468,26 @@ PackedValue::shl(const PackedValue &amount) const
 PackedValue
 PackedValue::lshr(const PackedValue &amount) const
 {
-    PackedValue r(_width);
+    PackedValue r = *this;
     uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
+    uint64_t sat = shiftSaturation(amount, width());
+    auto cur = r.val();
+    for (uint32_t p = 0; p < amount.width() && p < 64; ++p) {
         uint64_t s = 1ull << p;
-        if (s >= _width)
+        if (s >= width())
             break;
-        uint64_t m = amount._val[p];
+        uint64_t m = amount.val()[p];
         if (!m)
             continue;
-        for (uint32_t pos = 0; pos < _width; ++pos) {
-            uint64_t in = pos + s < _width ? cur[pos + s] : 0;
+        for (uint32_t pos = 0; pos < width(); ++pos) {
+            uint64_t in = pos + s < width() ? cur[pos + s] : 0;
             cur[pos] = (cur[pos] & ~m) | (in & m);
         }
     }
     uint64_t keep = ~xl & ~sat;
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = cur[p] & keep;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        cur[p] &= keep;
+        r.unk()[p] = xl;
     }
     return r;
 }
@@ -480,26 +495,26 @@ PackedValue::lshr(const PackedValue &amount) const
 PackedValue
 PackedValue::ashr(const PackedValue &amount) const
 {
-    PackedValue r(_width);
+    PackedValue r = *this;
     uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    uint64_t sign = _val[_width - 1];
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
+    uint64_t sat = shiftSaturation(amount, width());
+    uint64_t sign = val()[width() - 1];
+    auto cur = r.val();
+    for (uint32_t p = 0; p < amount.width() && p < 64; ++p) {
         uint64_t s = 1ull << p;
-        if (s >= _width)
+        if (s >= width())
             break;
-        uint64_t m = amount._val[p];
+        uint64_t m = amount.val()[p];
         if (!m)
             continue;
-        for (uint32_t pos = 0; pos < _width; ++pos) {
-            uint64_t in = pos + s < _width ? cur[pos + s] : sign;
+        for (uint32_t pos = 0; pos < width(); ++pos) {
+            uint64_t in = pos + s < width() ? cur[pos + s] : sign;
             cur[pos] = (cur[pos] & ~m) | (in & m);
         }
     }
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = ((cur[p] & ~sat) | (sign & sat)) & ~xl;
-        r._unk[p] = xl;
+    for (uint32_t p = 0; p < width(); ++p) {
+        cur[p] = ((cur[p] & ~sat) | (sign & sat)) & ~xl;
+        r.unk()[p] = xl;
     }
     return r;
 }
@@ -507,14 +522,14 @@ PackedValue::ashr(const PackedValue &amount) const
 PackedValue
 PackedValue::eq(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "eq: width mismatch");
+    check(width() == rhs.width(), "eq: width mismatch");
     PackedValue r(1);
     uint64_t xl = anyX() | rhs.anyX();
     uint64_t ne_mask = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        ne_mask |= _val[p] ^ rhs._val[p];
-    r._val[0] = ~ne_mask & ~xl;
-    r._unk[0] = xl;
+    for (uint32_t p = 0; p < width(); ++p)
+        ne_mask |= val()[p] ^ rhs.val()[p];
+    r.val()[0] = ~ne_mask & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
@@ -527,47 +542,47 @@ PackedValue::ne(const PackedValue &rhs) const
 PackedValue
 PackedValue::ult(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "ult: width mismatch");
+    check(width() == rhs.width(), "ult: width mismatch");
     PackedValue r(1);
     uint64_t xl = anyX() | rhs.anyX();
     uint64_t lt = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t a = val()[p], b = rhs.val()[p];
         lt = (~a & b) | (~(a ^ b) & lt);
     }
-    r._val[0] = lt & ~xl;
-    r._unk[0] = xl;
+    r.val()[0] = lt & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
 PackedValue
 PackedValue::ule(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "ule: width mismatch");
+    check(width() == rhs.width(), "ule: width mismatch");
     PackedValue lt = ult(rhs);
     PackedValue e = eq(rhs);
     PackedValue r(1);
-    uint64_t xl = lt._unk[0];
-    r._val[0] = (lt._val[0] | e._val[0]) & ~xl;
-    r._unk[0] = xl;
+    uint64_t xl = lt.unk()[0];
+    r.val()[0] = (lt.val()[0] | e.val()[0]) & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
 PackedValue
 PackedValue::slt(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "slt: width mismatch");
+    check(width() == rhs.width(), "slt: width mismatch");
     PackedValue r(1);
     uint64_t xl = anyX() | rhs.anyX();
-    uint64_t sa = _val[_width - 1], sb = rhs._val[_width - 1];
+    uint64_t sa = val()[width() - 1], sb = rhs.val()[width() - 1];
     uint64_t lt = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
+    for (uint32_t p = 0; p < width(); ++p) {
+        uint64_t a = val()[p], b = rhs.val()[p];
         lt = (~a & b) | (~(a ^ b) & lt);
     }
     // Different signs: the negative side (sign bit set) is smaller.
-    r._val[0] = ((sa & ~sb) | (~(sa ^ sb) & lt)) & ~xl;
-    r._unk[0] = xl;
+    r.val()[0] = ((sa & ~sb) | (~(sa ^ sb) & lt)) & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
@@ -577,21 +592,21 @@ PackedValue::sle(const PackedValue &rhs) const
     PackedValue lt = slt(rhs);
     PackedValue e = eq(rhs);
     PackedValue r(1);
-    uint64_t xl = lt._unk[0];
-    r._val[0] = (lt._val[0] | e._val[0]) & ~xl;
-    r._unk[0] = xl;
+    uint64_t xl = lt.unk()[0];
+    r.val()[0] = (lt.val()[0] | e.val()[0]) & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
 PackedValue
 PackedValue::caseEq(const PackedValue &rhs) const
 {
-    check(_width == rhs._width, "caseEq: width mismatch");
+    check(width() == rhs.width(), "caseEq: width mismatch");
     PackedValue r(1);
     uint64_t diff = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        diff |= (_val[p] ^ rhs._val[p]) | (_unk[p] ^ rhs._unk[p]);
-    r._val[0] = ~diff;
+    for (uint32_t p = 0; p < width(); ++p)
+        diff |= (val()[p] ^ rhs.val()[p]) | (unk()[p] ^ rhs.unk()[p]);
+    r.val()[0] = ~diff;
     return r;
 }
 
@@ -600,11 +615,11 @@ PackedValue::redAnd() const
 {
     PackedValue r(1);
     uint64_t known0 = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        known0 |= ~_val[p] & ~_unk[p];
+    for (uint32_t p = 0; p < width(); ++p)
+        known0 |= ~val()[p] & ~unk()[p];
     uint64_t xl = anyX();
-    r._val[0] = ~known0 & ~xl;
-    r._unk[0] = xl & ~known0;
+    r.val()[0] = ~known0 & ~xl;
+    r.unk()[0] = xl & ~known0;
     return r;
 }
 
@@ -613,8 +628,8 @@ PackedValue::redOr() const
 {
     PackedValue r(1);
     uint64_t one = anyOne();
-    r._val[0] = one;
-    r._unk[0] = anyX() & ~one;
+    r.val()[0] = one;
+    r.unk()[0] = anyX() & ~one;
     return r;
 }
 
@@ -624,10 +639,10 @@ PackedValue::redXor() const
     PackedValue r(1);
     uint64_t xl = anyX();
     uint64_t parity = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        parity ^= _val[p];
-    r._val[0] = parity & ~xl;
-    r._unk[0] = xl;
+    for (uint32_t p = 0; p < width(); ++p)
+        parity ^= val()[p];
+    r.val()[0] = parity & ~xl;
+    r.unk()[0] = xl;
     return r;
 }
 
@@ -635,18 +650,18 @@ PackedValue
 PackedValue::ite(const PackedValue &cond, const PackedValue &then_v,
                  const PackedValue &else_v)
 {
-    check(cond._width == 1, "ite: condition must be 1 bit");
-    check(then_v._width == else_v._width, "ite: arm width mismatch");
-    uint64_t c1 = cond._val[0];
-    uint64_t cx = cond._unk[0];
+    check(cond.width() == 1, "ite: condition must be 1 bit");
+    check(then_v.width() == else_v.width(), "ite: arm width mismatch");
+    uint64_t c1 = cond.val()[0];
+    uint64_t cx = cond.unk()[0];
     uint64_t c0 = ~c1 & ~cx;
-    PackedValue r(then_v._width);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        uint64_t agree = ~then_v._unk[p] & ~else_v._unk[p] &
-                         ~(then_v._val[p] ^ else_v._val[p]);
-        r._val[p] = (c1 & then_v._val[p]) | (c0 & else_v._val[p]) |
-                    (cx & then_v._val[p] & agree);
-        r._unk[p] = (c1 & then_v._unk[p]) | (c0 & else_v._unk[p]) |
+    PackedValue r(then_v.width());
+    for (uint32_t p = 0; p < r.width(); ++p) {
+        uint64_t agree = ~then_v.unk()[p] & ~else_v.unk()[p] &
+                         ~(then_v.val()[p] ^ else_v.val()[p]);
+        r.val()[p] = (c1 & then_v.val()[p]) | (c0 & else_v.val()[p]) |
+                    (cx & then_v.val()[p] & agree);
+        r.unk()[p] = (c1 & then_v.unk()[p]) | (c0 & else_v.unk()[p]) |
                     (cx & ~agree);
     }
     return r;

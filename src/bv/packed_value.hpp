@@ -25,11 +25,16 @@
  * Mul/udiv/urem take a per-lane scalar fallback through bv::Value
  * (exact by construction); everything else is O(width) word ops for
  * all 64 lanes together.
+ *
+ * Storage is bv::Value's two-plane block (bv/planes.hpp) with one word
+ * per bit position, so a 1-bit PackedValue — every condition and
+ * relational result — is inline and allocation-free.
  */
 #ifndef RTLREPAIR_BV_PACKED_VALUE_HPP
 #define RTLREPAIR_BV_PACKED_VALUE_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bv/value.hpp"
@@ -43,7 +48,7 @@ class PackedValue
     static constexpr uint32_t kLanes = 64;
 
     /** Default: 1-bit known zero in every lane. */
-    PackedValue() : PackedValue(1) {}
+    PackedValue() noexcept = default;
 
     /** @name Constructors @{ */
     static PackedValue zeros(uint32_t width);
@@ -66,7 +71,7 @@ class PackedValue
                             uint32_t width);
     /** @} */
 
-    uint32_t width() const { return _width; }
+    uint32_t width() const { return _p.width(); }
 
     /** Extract one lane as a scalar value. */
     Value lane(uint32_t l) const;
@@ -74,8 +79,8 @@ class PackedValue
     void setLane(uint32_t l, const Value &v);
 
     /** @name Raw plane access (for the simulator internals) @{ */
-    uint64_t valAt(uint32_t pos) const { return _val[pos]; }
-    uint64_t unkAt(uint32_t pos) const { return _unk[pos]; }
+    uint64_t valAt(uint32_t pos) const { return val()[pos]; }
+    uint64_t unkAt(uint32_t pos) const { return unk()[pos]; }
     /** Set bit @p pos to (val, unk) in the lanes of @p mask. */
     void setBitLanes(uint32_t pos, uint64_t val, uint64_t unk,
                      uint64_t mask);
@@ -175,9 +180,14 @@ class PackedValue
                                Value (Value::*op)(const Value &)
                                    const) const;
 
-    uint32_t _width;
-    std::vector<uint64_t> _val;  ///< one word per bit position
-    std::vector<uint64_t> _unk;
+    /** @name Value and unknown planes, one word per bit position @{ */
+    std::span<uint64_t> val() { return _p.plane(0); }
+    std::span<const uint64_t> val() const { return _p.plane(0); }
+    std::span<uint64_t> unk() { return _p.plane(1); }
+    std::span<const uint64_t> unk() const { return _p.plane(1); }
+    /** @} */
+
+    detail::Planes _p;
 };
 
 } // namespace rtlrepair::bv

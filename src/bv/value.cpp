@@ -20,34 +20,38 @@ topMask(uint32_t width)
 
 } // namespace
 
+Value::Value(uint32_t width)
+    : _p(width, static_cast<uint32_t>(nwords(width)))
+{}
+
 void
 Value::normalize()
 {
-    check(_width > 0, "zero-width Value");
-    // A defensive cap: widths beyond this are always the result of a
-    // corrupted constant (e.g. a mutated part-select bound), and the
-    // bit-level algorithms would effectively hang on them.
-    if (_width > (1u << 22))
-        fatal("bit-vector width too large");
-    uint64_t mask = topMask(_width);
-    _bits.back() &= mask;
-    _xmask.back() &= mask;
-    for (size_t i = 0; i < _bits.size(); ++i)
-        _bits[i] &= ~_xmask[i];
+    uint64_t mask = topMask(width());
+    auto b = bits(), x = xmask();
+    b.back() &= mask;
+    x.back() &= mask;
+    for (size_t i = 0; i < b.size(); ++i)
+        b[i] &= ~x[i];
 }
 
 Value
 Value::zeros(uint32_t width)
 {
     check(width > 0, "zero-width Value");
-    return Value(width, nwords(width));
+    // A defensive cap: widths beyond this are always the result of a
+    // corrupted constant (e.g. a mutated part-select bound), and the
+    // bit-level algorithms would effectively hang on them.
+    if (width > (1u << 22))
+        fatal("bit-vector width too large");
+    return Value(width);
 }
 
 Value
 Value::ones(uint32_t width)
 {
     Value v = zeros(width);
-    for (auto &w : v._bits)
+    for (auto &w : v.bits())
         w = ~0ull;
     v.normalize();
     return v;
@@ -57,7 +61,7 @@ Value
 Value::allX(uint32_t width)
 {
     Value v = zeros(width);
-    for (auto &w : v._xmask)
+    for (auto &w : v.xmask())
         w = ~0ull;
     v.normalize();
     return v;
@@ -67,7 +71,7 @@ Value
 Value::fromUint(uint32_t width, uint64_t value)
 {
     Value v = zeros(width);
-    v._bits[0] = value;
+    v.bits()[0] = value;
     v.normalize();
     return v;
 }
@@ -76,8 +80,8 @@ Value
 Value::fromWords(uint32_t width, std::vector<uint64_t> words)
 {
     Value v = zeros(width);
-    for (size_t i = 0; i < v._bits.size() && i < words.size(); ++i)
-        v._bits[i] = words[i];
+    auto b = v.bits();
+    std::copy_n(words.begin(), std::min(b.size(), words.size()), b.begin());
     v.normalize();
     return v;
 }
@@ -86,7 +90,7 @@ Value
 Value::random(uint32_t width, Rng &rng)
 {
     Value v = zeros(width);
-    for (auto &w : v._bits)
+    for (auto &w : v.bits())
         w = rng.next();
     v.normalize();
     return v;
@@ -208,7 +212,7 @@ Value::parseVerilog(std::string_view literal)
 bool
 Value::hasX() const
 {
-    for (uint64_t w : _xmask) {
+    for (uint64_t w : xmask()) {
         if (w != 0)
             return true;
     }
@@ -220,7 +224,7 @@ Value::isZero() const
 {
     if (hasX())
         return false;
-    for (uint64_t w : _bits) {
+    for (uint64_t w : bits()) {
         if (w != 0)
             return false;
     }
@@ -232,7 +236,7 @@ Value::isNonZero() const
 {
     if (hasX())
         return false;
-    for (uint64_t w : _bits) {
+    for (uint64_t w : bits()) {
         if (w != 0)
             return true;
     }
@@ -242,20 +246,19 @@ Value::isNonZero() const
 uint64_t
 Value::toUint64() const
 {
-    check(_xmask[0] == 0, "toUint64 on X value");
-    return _bits[0];
+    check(xmask()[0] == 0, "toUint64 on X value");
+    return bits()[0];
 }
 
 Value
 Value::fromPlanes(uint32_t width, std::vector<uint64_t> bits,
                   std::vector<uint64_t> xmask)
 {
-    size_t n = nwords(width);
-    bits.resize(n, 0);
-    xmask.resize(n, 0);
-    Value v(width, n);
-    v._bits = std::move(bits);
-    v._xmask = std::move(xmask);
+    Value v = zeros(width);
+    auto b = v.bits(), x = v.xmask();
+    std::copy_n(bits.begin(), std::min(b.size(), bits.size()), b.begin());
+    std::copy_n(xmask.begin(), std::min(x.size(), xmask.size()),
+                x.begin());
     v.normalize();
     return v;
 }
@@ -264,8 +267,8 @@ std::string
 Value::toBinaryString() const
 {
     std::string out;
-    out.reserve(_width);
-    for (uint32_t i = _width; i-- > 0;) {
+    out.reserve(width());
+    for (uint32_t i = width(); i-- > 0;) {
         int b = bit(i);
         out += b < 0 ? 'x' : static_cast<char>('0' + b);
     }
@@ -275,51 +278,50 @@ Value::toBinaryString() const
 std::string
 Value::toVerilogLiteral() const
 {
-    if (!hasX() && _width % 4u == 0 && _width >= 8) {
+    if (!hasX() && width() % 4u == 0 && width() >= 8) {
         std::string digits;
-        for (uint32_t i = _width; i >= 4; i -= 4) {
+        for (uint32_t i = width(); i >= 4; i -= 4) {
             uint32_t nibble = 0;
             for (uint32_t b = 0; b < 4; ++b)
                 nibble |= static_cast<uint32_t>(bit(i - 4 + b)) << b;
             digits += "0123456789abcdef"[nibble];
         }
-        return format("%u'h%s", _width, digits.c_str());
+        return format("%u'h%s", width(), digits.c_str());
     }
-    return format("%u'b%s", _width, toBinaryString().c_str());
+    return format("%u'b%s", width(), toBinaryString().c_str());
 }
 
 std::string
 Value::toDisplayString() const
 {
-    if (!hasX() && _width <= 64)
-        return format("%llu", static_cast<unsigned long long>(_bits[0]));
+    if (!hasX() && width() <= 64)
+        return format("%llu", static_cast<unsigned long long>(bits()[0]));
     return toBinaryString();
 }
 
 bool
 Value::operator==(const Value &other) const
 {
-    return _width == other._width && _bits == other._bits &&
-           _xmask == other._xmask;
+    return width() == other.width() && _p.sameWords(other._p);
 }
 
 bool
 Value::matches(const Value &expected) const
 {
-    if (_width != expected._width) {
+    if (width() != expected.width()) {
         // Width mismatches happen when a bug changes a port width
         // (e.g. the mux_k1 benchmark).  Compare zero-extended, the
         // way a testbench comparison against a wider vector would.
-        uint32_t w = std::max(_width, expected._width);
+        uint32_t w = std::max(width(), expected.width());
         return zext(w).matches(expected.zext(w));
     }
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t care = ~expected._xmask[i];
-        if (i + 1 == _bits.size())
-            care &= topMask(_width);
-        if ((_xmask[i] & care) != 0)
+    for (size_t i = 0; i < bits().size(); ++i) {
+        uint64_t care = ~expected.xmask()[i];
+        if (i + 1 == bits().size())
+            care &= topMask(width());
+        if ((xmask()[i] & care) != 0)
             return false; // our bit unknown where the trace checks
-        if (((_bits[i] ^ expected._bits[i]) & care) != 0)
+        if (((bits()[i] ^ expected.bits()[i]) & care) != 0)
             return false;
     }
     return true;
@@ -328,10 +330,10 @@ Value::matches(const Value &expected) const
 Value
 Value::zext(uint32_t new_width) const
 {
-    check(new_width >= _width, "zext must not shrink");
+    check(new_width >= width(), "zext must not shrink");
     Value v = zeros(new_width);
-    std::copy(_bits.begin(), _bits.end(), v._bits.begin());
-    std::copy(_xmask.begin(), _xmask.end(), v._xmask.begin());
+    std::copy(bits().begin(), bits().end(), v.bits().begin());
+    std::copy(xmask().begin(), xmask().end(), v.xmask().begin());
     v.normalize();
     return v;
 }
@@ -339,10 +341,10 @@ Value::zext(uint32_t new_width) const
 Value
 Value::sext(uint32_t new_width) const
 {
-    check(new_width >= _width, "sext must not shrink");
+    check(new_width >= width(), "sext must not shrink");
     Value v = zext(new_width);
-    int msb = bit(_width - 1);
-    for (uint32_t i = _width; i < new_width; ++i)
+    int msb = bit(width() - 1);
+    for (uint32_t i = width(); i < new_width; ++i)
         v.setBit(i, msb);
     return v;
 }
@@ -350,7 +352,7 @@ Value::sext(uint32_t new_width) const
 Value
 Value::slice(uint32_t hi, uint32_t lo) const
 {
-    check(hi < _width && lo <= hi, "slice out of range");
+    check(hi < width() && lo <= hi, "slice out of range");
     Value v = zeros(hi - lo + 1);
     for (uint32_t i = lo; i <= hi; ++i)
         v.setBit(i - lo, bit(i));
@@ -360,11 +362,11 @@ Value::slice(uint32_t hi, uint32_t lo) const
 Value
 Value::concat(const Value &low) const
 {
-    Value v = zeros(_width + low._width);
-    for (uint32_t i = 0; i < low._width; ++i)
+    Value v = zeros(width() + low.width());
+    for (uint32_t i = 0; i < low.width(); ++i)
         v.setBit(i, low.bit(i));
-    for (uint32_t i = 0; i < _width; ++i)
-        v.setBit(low._width + i, bit(i));
+    for (uint32_t i = 0; i < width(); ++i)
+        v.setBit(low.width() + i, bit(i));
     return v;
 }
 
@@ -382,8 +384,8 @@ Value
 Value::operator~() const
 {
     Value v = *this;
-    for (size_t i = 0; i < v._bits.size(); ++i)
-        v._bits[i] = ~v._bits[i];
+    for (size_t i = 0; i < v.bits().size(); ++i)
+        v.bits()[i] = ~v.bits()[i];
     v.normalize();
     return v;
 }
@@ -391,17 +393,17 @@ Value::operator~() const
 Value
 Value::operator&(const Value &rhs) const
 {
-    check(_width == rhs._width, "and: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
+    check(width() == rhs.width(), "and: width mismatch");
+    Value v = zeros(width());
+    for (size_t i = 0; i < bits().size(); ++i) {
         // Known one bits: both known one.  Unknown unless either is a
         // known zero.
-        uint64_t known_a = ~_xmask[i];
-        uint64_t known_b = ~rhs._xmask[i];
-        uint64_t one = (_bits[i] & known_a) & (rhs._bits[i] & known_b);
-        uint64_t zero = (known_a & ~_bits[i]) | (known_b & ~rhs._bits[i]);
-        v._bits[i] = one;
-        v._xmask[i] = ~(one | zero);
+        uint64_t known_a = ~xmask()[i];
+        uint64_t known_b = ~rhs.xmask()[i];
+        uint64_t one = (bits()[i] & known_a) & (rhs.bits()[i] & known_b);
+        uint64_t zero = (known_a & ~bits()[i]) | (known_b & ~rhs.bits()[i]);
+        v.bits()[i] = one;
+        v.xmask()[i] = ~(one | zero);
     }
     v.normalize();
     return v;
@@ -410,15 +412,15 @@ Value::operator&(const Value &rhs) const
 Value
 Value::operator|(const Value &rhs) const
 {
-    check(_width == rhs._width, "or: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t known_a = ~_xmask[i];
-        uint64_t known_b = ~rhs._xmask[i];
-        uint64_t one = (_bits[i] & known_a) | (rhs._bits[i] & known_b);
-        uint64_t zero = (known_a & ~_bits[i]) & (known_b & ~rhs._bits[i]);
-        v._bits[i] = one;
-        v._xmask[i] = ~(one | zero);
+    check(width() == rhs.width(), "or: width mismatch");
+    Value v = zeros(width());
+    for (size_t i = 0; i < bits().size(); ++i) {
+        uint64_t known_a = ~xmask()[i];
+        uint64_t known_b = ~rhs.xmask()[i];
+        uint64_t one = (bits()[i] & known_a) | (rhs.bits()[i] & known_b);
+        uint64_t zero = (known_a & ~bits()[i]) & (known_b & ~rhs.bits()[i]);
+        v.bits()[i] = one;
+        v.xmask()[i] = ~(one | zero);
     }
     v.normalize();
     return v;
@@ -427,11 +429,11 @@ Value::operator|(const Value &rhs) const
 Value
 Value::operator^(const Value &rhs) const
 {
-    check(_width == rhs._width, "xor: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        v._xmask[i] = _xmask[i] | rhs._xmask[i];
-        v._bits[i] = _bits[i] ^ rhs._bits[i];
+    check(width() == rhs.width(), "xor: width mismatch");
+    Value v = zeros(width());
+    for (size_t i = 0; i < bits().size(); ++i) {
+        v.xmask()[i] = xmask()[i] | rhs.xmask()[i];
+        v.bits()[i] = bits()[i] ^ rhs.bits()[i];
     }
     v.normalize();
     return v;
@@ -440,17 +442,17 @@ Value::operator^(const Value &rhs) const
 Value
 Value::operator+(const Value &rhs) const
 {
-    check(_width == rhs._width, "add: width mismatch");
+    check(width() == rhs.width(), "add: width mismatch");
     if (hasX() || rhs.hasX())
-        return allX(_width);
-    Value v = zeros(_width);
+        return allX(width());
+    Value v = zeros(width());
     uint64_t carry = 0;
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t sum = _bits[i] + carry;
-        uint64_t carry1 = sum < _bits[i] ? 1u : 0u;
-        uint64_t total = sum + rhs._bits[i];
+    for (size_t i = 0; i < bits().size(); ++i) {
+        uint64_t sum = bits()[i] + carry;
+        uint64_t carry1 = sum < bits()[i] ? 1u : 0u;
+        uint64_t total = sum + rhs.bits()[i];
         uint64_t carry2 = total < sum ? 1u : 0u;
-        v._bits[i] = total;
+        v.bits()[i] = total;
         carry = carry1 | carry2;
     }
     v.normalize();
@@ -461,52 +463,52 @@ Value
 Value::negate() const
 {
     if (hasX())
-        return allX(_width);
+        return allX(width());
     Value v = ~*this;
-    return v + fromUint(_width, 1);
+    return v + fromUint(width(), 1);
 }
 
 Value
 Value::operator-(const Value &rhs) const
 {
-    check(_width == rhs._width, "sub: width mismatch");
+    check(width() == rhs.width(), "sub: width mismatch");
     if (hasX() || rhs.hasX())
-        return allX(_width);
+        return allX(width());
     return *this + rhs.negate();
 }
 
 Value
 Value::operator*(const Value &rhs) const
 {
-    check(_width == rhs._width, "mul: width mismatch");
+    check(width() == rhs.width(), "mul: width mismatch");
     if (hasX() || rhs.hasX())
-        return allX(_width);
-    size_t n = _bits.size();
+        return allX(width());
+    size_t n = bits().size();
     std::vector<uint64_t> acc(n, 0);
     for (size_t i = 0; i < n; ++i) {
         uint64_t carry = 0;
         for (size_t j = 0; i + j < n; ++j) {
             unsigned __int128 cur =
-                static_cast<unsigned __int128>(_bits[i]) * rhs._bits[j] +
+                static_cast<unsigned __int128>(bits()[i]) * rhs.bits()[j] +
                 acc[i + j] + carry;
             acc[i + j] = static_cast<uint64_t>(cur);
             carry = static_cast<uint64_t>(cur >> 64);
         }
     }
-    return fromWords(_width, std::move(acc));
+    return fromWords(width(), std::move(acc));
 }
 
 Value
 Value::udiv(const Value &rhs) const
 {
-    check(_width == rhs._width, "udiv: width mismatch");
+    check(width() == rhs.width(), "udiv: width mismatch");
     if (hasX() || rhs.hasX() || rhs.isZero())
-        return allX(_width);
+        return allX(width());
     // Simple restoring long division, MSB first.
-    Value quotient = zeros(_width);
-    Value remainder = zeros(_width);
-    for (uint32_t i = _width; i-- > 0;) {
-        remainder = remainder.shl(fromUint(_width, 1));
+    Value quotient = zeros(width());
+    Value remainder = zeros(width());
+    for (uint32_t i = width(); i-- > 0;) {
+        remainder = remainder.shl(fromUint(width(), 1));
         remainder.setBit(0, bit(i));
         if (rhs.ule(remainder).isNonZero()) {
             remainder = remainder - rhs;
@@ -519,9 +521,9 @@ Value::udiv(const Value &rhs) const
 Value
 Value::urem(const Value &rhs) const
 {
-    check(_width == rhs._width, "urem: width mismatch");
+    check(width() == rhs.width(), "urem: width mismatch");
     if (hasX() || rhs.hasX() || rhs.isZero())
-        return allX(_width);
+        return allX(width());
     Value quotient = udiv(rhs);
     return *this - quotient * rhs;
 }
@@ -530,16 +532,16 @@ Value
 Value::shl(const Value &amount) const
 {
     if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width; // saturate
+        return allX(width());
+    uint64_t by = amount.bits()[0];
+    for (size_t i = 1; i < amount.bits().size(); ++i) {
+        if (amount.bits()[i] != 0)
+            by = width(); // saturate
     }
-    if (by >= _width)
-        return zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = static_cast<uint32_t>(by); i < _width; ++i)
+    if (by >= width())
+        return zeros(width());
+    Value v = zeros(width());
+    for (uint32_t i = static_cast<uint32_t>(by); i < width(); ++i)
         v.setBit(i, bit(i - static_cast<uint32_t>(by)));
     return v;
 }
@@ -548,16 +550,16 @@ Value
 Value::lshr(const Value &amount) const
 {
     if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width;
+        return allX(width());
+    uint64_t by = amount.bits()[0];
+    for (size_t i = 1; i < amount.bits().size(); ++i) {
+        if (amount.bits()[i] != 0)
+            by = width();
     }
-    if (by >= _width)
-        return zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = 0; i + by < _width; ++i)
+    if (by >= width())
+        return zeros(width());
+    Value v = zeros(width());
+    for (uint32_t i = 0; i + by < width(); ++i)
         v.setBit(i, bit(i + static_cast<uint32_t>(by)));
     return v;
 }
@@ -566,19 +568,19 @@ Value
 Value::ashr(const Value &amount) const
 {
     if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width;
+        return allX(width());
+    uint64_t by = amount.bits()[0];
+    for (size_t i = 1; i < amount.bits().size(); ++i) {
+        if (amount.bits()[i] != 0)
+            by = width();
     }
-    int sign = bit(_width - 1);
-    if (by >= _width)
-        return sign == 1 ? ones(_width) : zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = 0; i < _width; ++i) {
+    int sign = bit(width() - 1);
+    if (by >= width())
+        return sign == 1 ? ones(width()) : zeros(width());
+    Value v = zeros(width());
+    for (uint32_t i = 0; i < width(); ++i) {
         uint64_t src = i + by;
-        v.setBit(i, src < _width ? bit(static_cast<uint32_t>(src)) : sign);
+        v.setBit(i, src < width() ? bit(static_cast<uint32_t>(src)) : sign);
     }
     return v;
 }
@@ -586,10 +588,10 @@ Value::ashr(const Value &amount) const
 int
 Value::compareKnown(const Value &a, const Value &b)
 {
-    for (size_t i = a._bits.size(); i-- > 0;) {
-        if (a._bits[i] < b._bits[i])
+    for (size_t i = a.bits().size(); i-- > 0;) {
+        if (a.bits()[i] < b.bits()[i])
             return -1;
-        if (a._bits[i] > b._bits[i])
+        if (a.bits()[i] > b.bits()[i])
             return 1;
     }
     return 0;
@@ -598,7 +600,7 @@ Value::compareKnown(const Value &a, const Value &b)
 Value
 Value::eq(const Value &rhs) const
 {
-    check(_width == rhs._width, "eq: width mismatch");
+    check(width() == rhs.width(), "eq: width mismatch");
     if (hasX() || rhs.hasX())
         return allX(1);
     return fromUint(1, compareKnown(*this, rhs) == 0 ? 1u : 0u);
@@ -614,7 +616,7 @@ Value::ne(const Value &rhs) const
 Value
 Value::ult(const Value &rhs) const
 {
-    check(_width == rhs._width, "ult: width mismatch");
+    check(width() == rhs.width(), "ult: width mismatch");
     if (hasX() || rhs.hasX())
         return allX(1);
     return fromUint(1, compareKnown(*this, rhs) < 0 ? 1u : 0u);
@@ -623,7 +625,7 @@ Value::ult(const Value &rhs) const
 Value
 Value::ule(const Value &rhs) const
 {
-    check(_width == rhs._width, "ule: width mismatch");
+    check(width() == rhs.width(), "ule: width mismatch");
     if (hasX() || rhs.hasX())
         return allX(1);
     return fromUint(1, compareKnown(*this, rhs) <= 0 ? 1u : 0u);
@@ -632,7 +634,7 @@ Value::ule(const Value &rhs) const
 Value
 Value::slt(const Value &rhs) const
 {
-    check(_width == rhs._width, "slt: width mismatch");
+    check(width() == rhs.width(), "slt: width mismatch");
     if (hasX() || rhs.hasX())
         return allX(1);
     int sa = signBit(), sb = rhs.signBit();
@@ -655,8 +657,8 @@ Value::sle(const Value &rhs) const
 Value
 Value::caseEq(const Value &rhs) const
 {
-    check(_width == rhs._width, "caseEq: width mismatch");
-    bool equal = _bits == rhs._bits && _xmask == rhs._xmask;
+    check(width() == rhs.width(), "caseEq: width mismatch");
+    bool equal = _p.sameWords(rhs._p);
     return fromUint(1, equal ? 1u : 0u);
 }
 
@@ -664,7 +666,7 @@ Value
 Value::redAnd() const
 {
     bool any_x = false;
-    for (uint32_t i = 0; i < _width; ++i) {
+    for (uint32_t i = 0; i < width(); ++i) {
         int b = bit(i);
         if (b == 0)
             return fromUint(1, 0);
@@ -678,7 +680,7 @@ Value
 Value::redOr() const
 {
     bool any_x = false;
-    for (uint32_t i = 0; i < _width; ++i) {
+    for (uint32_t i = 0; i < width(); ++i) {
         int b = bit(i);
         if (b == 1)
             return fromUint(1, 1);
@@ -694,7 +696,7 @@ Value::redXor() const
     if (hasX())
         return allX(1);
     uint64_t parity = 0;
-    for (uint64_t w : _bits)
+    for (uint64_t w : bits())
         parity ^= w;
     parity ^= parity >> 32;
     parity ^= parity >> 16;
@@ -708,16 +710,16 @@ Value::redXor() const
 Value
 Value::ite(const Value &cond, const Value &then_v, const Value &else_v)
 {
-    check(cond._width == 1, "ite: condition must be 1 bit");
-    check(then_v._width == else_v._width, "ite: arm width mismatch");
+    check(cond.width() == 1, "ite: condition must be 1 bit");
+    check(then_v.width() == else_v.width(), "ite: arm width mismatch");
     int c = cond.bit(0);
     if (c == 1)
         return then_v;
     if (c == 0)
         return else_v;
     // X condition: merge arms bitwise.
-    Value v = zeros(then_v._width);
-    for (uint32_t i = 0; i < v._width; ++i) {
+    Value v = zeros(then_v.width());
+    for (uint32_t i = 0; i < v.width(); ++i) {
         int a = then_v.bit(i);
         int b = else_v.bit(i);
         v.setBit(i, (a == b && a >= 0) ? a : -1);
@@ -729,7 +731,7 @@ Value
 Value::xToZero() const
 {
     Value v = *this;
-    for (auto &w : v._xmask)
+    for (auto &w : v.xmask())
         w = 0;
     return v;
 }
@@ -738,9 +740,9 @@ Value
 Value::xToRandom(Rng &rng) const
 {
     Value v = *this;
-    for (size_t i = 0; i < v._bits.size(); ++i) {
-        v._bits[i] |= rng.next() & v._xmask[i];
-        v._xmask[i] = 0;
+    for (size_t i = 0; i < v.bits().size(); ++i) {
+        v.bits()[i] |= rng.next() & v.xmask()[i];
+        v.xmask()[i] = 0;
     }
     v.normalize();
     return v;
@@ -749,13 +751,13 @@ Value::xToRandom(Rng &rng) const
 size_t
 Value::hash() const
 {
-    size_t h = _width * 0x9e3779b97f4a7c15ull;
+    size_t h = width() * 0x9e3779b97f4a7c15ull;
     auto mix = [&h](uint64_t w) {
         h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     };
-    for (uint64_t w : _bits)
+    for (uint64_t w : bits())
         mix(w);
-    for (uint64_t w : _xmask)
+    for (uint64_t w : xmask())
         mix(w ^ 0x5555555555555555ull);
     return h;
 }

@@ -14,15 +14,22 @@
  *
  * Values are canonical: data bits above the width and under the X mask
  * are always zero, so structural equality is word-wise comparison.
+ *
+ * A Value is 24 bytes.  Up to 64 bits, its data and X words are stored
+ * inline and it owns no heap memory; wider values own one heap block
+ * holding both planes (see bv/planes.hpp).  A moved-from Value is the
+ * default 1-bit zero.
  */
 #ifndef RTLREPAIR_BV_VALUE_HPP
 #define RTLREPAIR_BV_VALUE_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bv/planes.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +40,7 @@ class Value
 {
   public:
     /** Default: 1-bit known zero. */
-    Value() : Value(zeros(1)) {}
+    Value() noexcept = default;
 
     /** @name Constructors @{ */
     static Value zeros(uint32_t width);
@@ -52,7 +59,7 @@ class Value
     static Value parseVerilog(std::string_view literal);
     /** @} */
 
-    uint32_t width() const { return _width; }
+    uint32_t width() const { return _p.width(); }
 
     /** True if any bit is X. */
     bool hasX() const;
@@ -71,34 +78,36 @@ class Value
     int
     bit(uint32_t i) const
     {
-        check(i < _width, "bit index out of range");
+        check(i < width(), "bit index out of range");
         size_t word = i / 64u;
         uint64_t mask = 1ull << (i % 64u);
-        if (_xmask[word] & mask)
+        if (xmask()[word] & mask)
             return -1;
-        return (_bits[word] & mask) ? 1 : 0;
+        return (bits()[word] & mask) ? 1 : 0;
     }
 
     /** Set bit @p i to 0, 1, or -1 (X). */
     void
     setBit(uint32_t i, int v)
     {
-        check(i < _width, "bit index out of range");
+        check(i < width(), "bit index out of range");
         size_t word = i / 64u;
         uint64_t mask = 1ull << (i % 64u);
-        _bits[word] &= ~mask;
-        _xmask[word] &= ~mask;
+        uint64_t &b = bits()[word];
+        uint64_t &x = xmask()[word];
+        b &= ~mask;
+        x &= ~mask;
         if (v < 0)
-            _xmask[word] |= mask;
+            x |= mask;
         else if (v == 1)
-            _bits[word] |= mask;
+            b |= mask;
     }
 
     /** @name Raw plane access (for bit-parallel transposes) @{ */
     /** Word @p i of the data plane (little-endian 64-bit words). */
-    uint64_t bitsWord(size_t i) const { return _bits[i]; }
+    uint64_t bitsWord(size_t i) const { return bits()[i]; }
     /** Word @p i of the X plane; set bits are unknown. */
-    uint64_t xmaskWord(size_t i) const { return _xmask[i]; }
+    uint64_t xmaskWord(size_t i) const { return xmask()[i]; }
     /**
      * Build from raw planes: @p bits / @p xmask are little-endian
      * words, excess bits are masked and data bits under X cleared.
@@ -192,10 +201,13 @@ class Value
     /** Hash over width, bits, and X mask. */
     size_t hash() const;
 
+    friend void swap(Value &a, Value &b) noexcept { a._p.swap(b._p); }
+
   private:
-    Value(uint32_t width, size_t nwords)
-        : _width(width), _bits(nwords, 0), _xmask(nwords, 0)
-    {}
+    friend class PackedValue;
+
+    /** Known-zero value; the only place storage is sized. */
+    explicit Value(uint32_t width);
 
     static size_t nwords(uint32_t width) { return (width + 63u) / 64u; }
     /** Mask the top word and clear data bits under the X mask. */
@@ -203,11 +215,16 @@ class Value
     /** Unsigned comparison of known values: -1, 0, +1. */
     static int compareKnown(const Value &a, const Value &b);
     /** MSB as 0/1; requires fully known. */
-    int signBit() const { return bit(_width - 1) == 1 ? 1 : 0; }
+    int signBit() const { return bit(width() - 1) == 1 ? 1 : 0; }
 
-    uint32_t _width;
-    std::vector<uint64_t> _bits;
-    std::vector<uint64_t> _xmask;
+    /** @name The data and X planes, nwords(width()) words each @{ */
+    std::span<uint64_t> bits() { return _p.plane(0); }
+    std::span<const uint64_t> bits() const { return _p.plane(0); }
+    std::span<uint64_t> xmask() { return _p.plane(1); }
+    std::span<const uint64_t> xmask() const { return _p.plane(1); }
+    /** @} */
+
+    detail::Planes _p;
 };
 
 } // namespace rtlrepair::bv

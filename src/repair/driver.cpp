@@ -298,10 +298,10 @@ repairDesign(const verilog::Module &buggy,
 
         if (memoryWatermarkExceeded(config.guard)) {
             StageGuard guard("template:" + name, outcome.stages);
-            guard.skip("peak-RSS watermark exceeded");
+            guard.skip("RSS watermark exceeded");
             outcome.degraded = true;
             outcome.detail += format(
-                "template %s: skipped, peak-RSS watermark exceeded\n",
+                "template %s: skipped, RSS watermark exceeded\n",
                 name.c_str());
             continue;
         }

@@ -71,7 +71,7 @@ memoryWatermarkExceeded(const GuardConfig &config)
 {
     if (config.max_rss_mb == 0)
         return false;
-    std::optional<size_t> rss = peakRssKb();
+    std::optional<size_t> rss = currentRssKb();
     if (!rss) {
         // Unknown RSS is not evidence of being under budget, but a
         // watermark can only compare against a measurement: record

@@ -83,9 +83,9 @@ struct GuardConfig
      */
     double overcommit = 2.0;
     /**
-     * Peak-RSS watermark in MiB; once the process peak exceeds it, no
-     * further solve stages are launched (they are Skipped and the run
-     * degrades).  0 disables the watermark.
+     * RSS watermark in MiB; while the process's current RSS exceeds
+     * it, no further solve stages are launched (they are Skipped and
+     * the run degrades).  0 disables the watermark.
      */
     size_t max_rss_mb = 0;
     /** Window-solve retries before a template is dropped. */
@@ -100,7 +100,7 @@ struct GuardConfig
 double stageSlice(double remaining, size_t stages_left,
                   const GuardConfig &config);
 
-/** True once the process peak RSS crossed the configured watermark. */
+/** True while the process's current RSS exceeds the watermark. */
 bool memoryWatermarkExceeded(const GuardConfig &config);
 
 /** Stage name for one window solve of template @p label. */

@@ -234,12 +234,12 @@ runEngineParallel(const ir::TransitionSystem &sys,
             result.status = EngineResult::Status::NoRepair;
             return result;
         }
-        if (cfg.max_rss_kb > 0 &&
-            peakRssKb().value_or(0) > cfg.max_rss_kb) {
+        size_t rss_kb = cfg.max_rss_kb > 0
+                            ? currentRssKb().value_or(0) : 0;
+        if (rss_kb > cfg.max_rss_kb) {
             result.status = EngineResult::Status::Failed;
-            result.error = format(
-                "peak-RSS watermark exceeded (%zu KiB)",
-                peakRssKb().value_or(0));
+            result.error =
+                format("RSS watermark exceeded (%zu KiB)", rss_kb);
             return result;
         }
 
@@ -390,10 +390,10 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
     }
     if (memoryWatermarkExceeded(config.guard)) {
         StageGuard guard("template:" + s.name, s.stages);
-        guard.skip("peak-RSS watermark exceeded");
+        guard.skip("RSS watermark exceeded");
         s.outcome = Outcome::Failed;
         s.note = format(
-            "template %s: skipped, peak-RSS watermark exceeded\n",
+            "template %s: skipped, RSS watermark exceeded\n",
             s.name.c_str());
         return;
     }

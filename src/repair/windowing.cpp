@@ -496,12 +496,12 @@ runEngine(const ir::TransitionSystem &sys,
             result.status = EngineResult::Status::NoRepair;
             return result;
         }
-        if (cfg.max_rss_kb > 0 &&
-            peakRssKb().value_or(0) > cfg.max_rss_kb) {
+        size_t rss_kb = cfg.max_rss_kb > 0
+                            ? currentRssKb().value_or(0) : 0;
+        if (rss_kb > cfg.max_rss_kb) {
             result.status = EngineResult::Status::Failed;
-            result.error = format(
-                "peak-RSS watermark exceeded (%zu KiB)",
-                peakRssKb().value_or(0));
+            result.error =
+                format("RSS watermark exceeded (%zu KiB)", rss_kb);
             return result;
         }
         WindowLadder::Window w = ladder.window();

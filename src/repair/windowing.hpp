@@ -49,8 +49,8 @@ struct EngineConfig
     /** Window-solve retries (reseeded solver, halved window growth)
      *  before the engine gives up with Status::Failed. */
     int solve_retries = 1;
-    /** Peak-RSS watermark in KiB; when the process peak crosses it,
-     *  no further window solves are launched (0 = disabled). */
+    /** RSS watermark in KiB; while the process's current RSS exceeds
+     *  it, no further window solves are launched (0 = disabled). */
     size_t max_rss_kb = 0;
     /** Candidate-validation simulator: Auto/Vec validate multi-
      *  candidate batches on the 64-lane packed interpreter, Event on

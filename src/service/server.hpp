@@ -23,8 +23,9 @@
  *     rejection (overloaded / tenant-busy / duplicate /
  *     shutting-down) — backpressure, not OOM.
  *   - Budgets.  Per-job timeouts are clamped to a server maximum and
- *     enforced through the existing StageGuard time slices; peak-RSS
- *     watermarks ride GuardConfig.  Client disconnect cancels the
+ *     enforced through the existing StageGuard time slices; RSS
+ *     watermarks (on current, not lifetime-peak, RSS) ride
+ *     GuardConfig.  Client disconnect cancels the
  *     job's CancelToken, which the SAT conflict loop polls.
  *   - Crash recovery.  An append-only journal records job start/done;
  *     a restarted daemon reports jobs the previous instance lost as
@@ -67,7 +68,8 @@ struct ServerConfig
     double default_timeout = 60.0;
     /** Hard per-job ceiling; requested timeouts are clamped to it. */
     double max_job_seconds = 300.0;
-    /** Per-job peak-RSS watermark in MiB (0 = off). */
+    /** RSS watermark in MiB, compared with the process's current
+     *  RSS before each solve stage of a job (0 = off). */
     size_t max_rss_mb = 0;
     /** Cross-job elaboration cache budget in MiB (0 = off). */
     size_t cache_mb = 64;

@@ -1,5 +1,7 @@
 #include "trace/io_trace.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -19,6 +21,62 @@ findColumn(const std::vector<Column> &cols, const std::string &name)
             return static_cast<int>(i);
     }
     return -1;
+}
+
+/**
+ * The field of @p text that starts at @p pos and ends before the next
+ * @p sep (or at the end); advances @p pos past that separator.  Like
+ * split(), a text ending in @p sep has a final empty field, so the
+ * fields are exhausted once @p pos > text.size().
+ */
+std::string_view
+nextField(std::string_view text, size_t &pos, char sep)
+{
+    size_t end = std::min(text.find(sep, pos), text.size());
+    std::string_view field = text.substr(pos, end - pos);
+    pos = end + 1;
+    return field;
+}
+
+/**
+ * The digits of a @c b cell as a value of that many bits, when they
+ * are all 0/1/x/z: the form toCsv() writes, decoded without building
+ * a Verilog literal.  Anything else (underscores, @c ?, bad digits)
+ * returns nothing and is left to Value::parseVerilog.
+ */
+std::optional<Value>
+binaryCell(std::string_view digits)
+{
+    if (digits.empty() || digits.size() > (1u << 20))
+        return std::nullopt;
+    uint32_t width = static_cast<uint32_t>(digits.size());
+    Value v = Value::zeros(width);
+    for (uint32_t i = 0; i < width; ++i) {
+        switch (digits[width - 1 - i]) {
+          case '0': break;
+          case '1': v.setBit(i, 1); break;
+          case 'x': case 'X': case 'z': case 'Z': v.setBit(i, -1); break;
+          default: return std::nullopt;
+        }
+    }
+    return v;
+}
+
+/** One trimmed CSV cell as a value. */
+Value
+parseCell(std::string_view cell)
+{
+    if (!cell.empty() && (cell[0] == 'b' || cell[0] == 'B')) {
+        std::string_view bits = cell.substr(1);
+        if (std::optional<Value> v = binaryCell(bits))
+            return std::move(*v);
+        return Value::parseVerilog(format(
+            "%zu'b%.*s", bits.size(), static_cast<int>(bits.size()),
+            bits.data()));
+    }
+    if (cell == "x" || cell == "X" || cell == "-")
+        return Value::allX(1);
+    return Value::parseVerilog(cell);
 }
 
 } // namespace
@@ -91,13 +149,12 @@ IoTrace
 IoTrace::fromCsv(const std::string &text)
 {
     IoTrace trace;
-    std::vector<std::string> lines = split(text, '\n');
-    if (lines.empty())
-        fatal("empty trace CSV");
+    size_t pos = 0;
+    std::string_view header = nextField(text, pos, '\n');
 
     std::vector<bool> is_input;
-    for (const auto &cell : split(lines[0], ',')) {
-        std::string_view name = trim(cell);
+    for (size_t hp = 0; hp <= header.size();) {
+        std::string_view name = trim(nextField(header, hp, ','));
         if (startsWith(name, "in:")) {
             trace.inputs.push_back(
                 Column{std::string(name.substr(3)), 1});
@@ -112,26 +169,23 @@ IoTrace::fromCsv(const std::string &text)
         }
     }
 
-    for (size_t li = 1; li < lines.size(); ++li) {
-        if (trim(lines[li]).empty())
+    size_t max_rows = std::count(text.begin(), text.end(), '\n');
+    trace.input_rows.reserve(max_rows);
+    trace.output_rows.reserve(max_rows);
+    for (size_t li = 1; pos <= text.size(); ++li) {
+        std::string_view line = nextField(text, pos, '\n');
+        if (trim(line).empty())
             continue;
-        std::vector<std::string> cells = split(lines[li], ',');
-        if (cells.size() != is_input.size())
+        size_t ncells = std::count(line.begin(), line.end(), ',') + 1;
+        if (ncells != is_input.size())
             fatal(format("trace row %zu has %zu cells, expected %zu",
-                         li, cells.size(), is_input.size()));
+                         li, ncells, is_input.size()));
         std::vector<Value> in_row, out_row;
-        for (size_t ci = 0; ci < cells.size(); ++ci) {
-            std::string cell(trim(cells[ci]));
-            Value v;
-            if (!cell.empty() && (cell[0] == 'b' || cell[0] == 'B')) {
-                std::string bits = cell.substr(1);
-                v = Value::parseVerilog(
-                    format("%zu'b%s", bits.size(), bits.c_str()));
-            } else if (cell == "x" || cell == "X" || cell == "-") {
-                v = Value::allX(1);
-            } else {
-                v = Value::parseVerilog(cell);
-            }
+        in_row.reserve(trace.inputs.size());
+        out_row.reserve(trace.outputs.size());
+        size_t cp = 0;
+        for (size_t ci = 0; ci < ncells; ++ci) {
+            Value v = parseCell(trim(nextField(line, cp, ',')));
             if (is_input[ci])
                 in_row.push_back(std::move(v));
             else

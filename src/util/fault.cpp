@@ -171,13 +171,19 @@ FaultInjector::hit(const std::string &stage)
     }
 }
 
+namespace {
+
+/**
+ * Parse the "<field> <n> kB" line (e.g. @c VmHWM:) out of
+ * /proc/self/status-shaped @p text.
+ */
 std::optional<size_t>
-parseVmHwmKb(const std::string &text)
+parseStatusKb(const std::string &text, const char *field)
 {
-    size_t pos = text.find("VmHWM:");
+    size_t pos = text.find(field);
     if (pos == std::string::npos)
         return std::nullopt;
-    pos += 6;
+    pos += std::char_traits<char>::length(field);
     while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t'))
         ++pos;
     if (pos >= text.size() || text[pos] < '0' || text[pos] > '9')
@@ -187,8 +193,8 @@ parseVmHwmKb(const std::string &text)
         kb = kb * 10 + static_cast<size_t>(text[pos] - '0');
         ++pos;
     }
-    // The kernel always reports VmHWM in kB; anything else is a
-    // format we do not understand and must not misread.
+    // The kernel always reports these fields in kB; anything else is
+    // a format we do not understand and must not misread.
     while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t'))
         ++pos;
     if (text.compare(pos, 2, "kB") != 0)
@@ -196,18 +202,49 @@ parseVmHwmKb(const std::string &text)
     return kb;
 }
 
+/** The contents of /proc/self/status, or empty when unreadable. */
+std::string
+readProcStatus()
+{
+    std::ifstream status("/proc/self/status");
+    if (!status)
+        return {};
+    std::ostringstream buf;
+    buf << status.rdbuf();
+    return buf.str();
+}
+
+} // namespace
+
+std::optional<size_t>
+parseVmHwmKb(const std::string &text)
+{
+    return parseStatusKb(text, "VmHWM:");
+}
+
+std::optional<size_t>
+parseVmRssKb(const std::string &text)
+{
+    return parseStatusKb(text, "VmRSS:");
+}
+
+std::optional<size_t>
+currentRssKb()
+{
+    if (auto kb = parseVmRssKb(readProcStatus()))
+        return kb;
+    // No VmRSS: the lifetime peak is the closest bound that can still
+    // be measured, and it never under-reports the current size.
+    return peakRssKb();
+}
+
 std::optional<size_t>
 peakRssKb()
 {
     // Primary source: /proc/self/status VmHWM (present on Linux,
     // absent in minimal sandboxes and on other kernels).
-    std::ifstream status("/proc/self/status");
-    if (status) {
-        std::ostringstream buf;
-        buf << status.rdbuf();
-        if (auto kb = parseVmHwmKb(buf.str()))
-            return kb;
-    }
+    if (auto kb = parseVmHwmKb(readProcStatus()))
+        return kb;
     // Fallback: getrusage, which Linux reports in KiB.  A zero
     // ru_maxrss means the kernel did not account it — unknown, not
     // "zero bytes resident".

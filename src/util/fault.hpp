@@ -139,11 +139,20 @@ faultPoint(const std::string &stage)
 std::optional<size_t> peakRssKb();
 
 /**
- * Parse the VmHWM line out of /proc/self/status-shaped @p text.
- * Exposed for tests; returns std::nullopt when the field is missing
- * or malformed.
+ * Current resident set size of this process in KiB (VmRSS): what a
+ * memory budget should compare, since the lifetime peak never falls
+ * once one large job has run.  Falls back to peakRssKb() where VmRSS
+ * cannot be read.
+ */
+std::optional<size_t> currentRssKb();
+
+/**
+ * Parse the VmHWM / VmRSS line out of /proc/self/status-shaped
+ * @p text.  Exposed for tests; returns std::nullopt when the field is
+ * missing or malformed.
  */
 std::optional<size_t> parseVmHwmKb(const std::string &text);
+std::optional<size_t> parseVmRssKb(const std::string &text);
 
 /** Peak RSS as a number for contexts that must print something:
  *  the value, or 0 when unknown.  Pair with peakRssKnown(). */

@@ -2,13 +2,41 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <utility>
 
+#include "bv/packed_value.hpp"
 #include "bv/value.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 using rtlrepair::Rng;
+using rtlrepair::bv::PackedValue;
 using rtlrepair::bv::Value;
+
+// Every global allocation in this binary is counted, so a test can
+// show that an operation on small values never touches the heap.
+namespace {
+std::atomic<size_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 TEST(Value, ConstructorsAndQueries)
 {
@@ -284,3 +312,217 @@ TEST_P(ValueWideProperty, AlgebraicIdentities)
 
 INSTANTIATE_TEST_SUITE_P(WideWidths, ValueWideProperty,
                          ::testing::Values(65u, 100u, 128u, 200u));
+
+// --- Storage layout: inline up to 64 bits, one heap block beyond ---
+
+static_assert(sizeof(Value) == 24, "Value is width + two inline words");
+static_assert(sizeof(PackedValue) == 24, "PackedValue shares the layout");
+
+namespace {
+
+/** A random value of @p width with about a quarter of its bits X. */
+Value
+mixedValue(uint32_t width, Rng &rng)
+{
+    Value v = Value::random(width, rng);
+    for (uint32_t i = 0; i < width; ++i) {
+        if (rng.below(4) == 0)
+            v.setBit(i, -1);
+    }
+    return v;
+}
+
+const uint32_t kLayoutWidths[] = {1, 63, 64, 65, 128, 1000};
+
+} // namespace
+
+TEST(ValueLayout, CopyMoveSelfAssignAndSwap)
+{
+    Rng rng(41);
+    for (uint32_t w : kLayoutWidths) {
+        SCOPED_TRACE(w);
+        Value a = mixedValue(w, rng);
+        Value b = mixedValue(w, rng);
+        const Value a0 = a, b0 = b;
+
+        Value copy(a);
+        EXPECT_EQ(copy, a0);
+        copy.setBit(0, copy.bit(0) == 1 ? 0 : 1);
+        EXPECT_EQ(a, a0) << "a copy owns its own planes";
+
+        Value assigned = Value::zeros(w);
+        assigned = a;
+        EXPECT_EQ(assigned, a0);
+
+        Value &alias = a;
+        a = alias;
+        EXPECT_EQ(a, a0) << "self copy-assignment";
+        a = std::move(alias);
+        EXPECT_EQ(a, a0) << "self move-assignment";
+
+        using std::swap;
+        swap(a, b);
+        EXPECT_EQ(a, b0);
+        EXPECT_EQ(b, a0);
+        swap(a, b);
+
+        Value moved(std::move(assigned));
+        EXPECT_EQ(moved, a0);
+        Value target = Value::ones(7);
+        target = std::move(moved);
+        EXPECT_EQ(target, a0);
+    }
+}
+
+TEST(ValueLayout, AssignmentCrossesTheInlineHeapBoundary)
+{
+    Rng rng(43);
+    for (uint32_t small : {1u, 63u, 64u}) {
+        for (uint32_t wide : {65u, 128u, 1000u}) {
+            SCOPED_TRACE(std::to_string(small) + "/" +
+                         std::to_string(wide));
+            const Value s = mixedValue(small, rng);
+            const Value l = mixedValue(wide, rng);
+
+            Value v = s;
+            v = l;  // inline -> heap
+            EXPECT_EQ(v, l);
+            v = s;  // heap -> inline
+            EXPECT_EQ(v, s);
+
+            Value m = l;
+            Value tmp = s;
+            m = std::move(tmp);
+            EXPECT_EQ(m, s);
+            tmp = l;
+            m = std::move(tmp);
+            EXPECT_EQ(m, l);
+
+            Value x = s, y = l;
+            using std::swap;
+            swap(x, y);
+            EXPECT_EQ(x, l);
+            EXPECT_EQ(y, s);
+        }
+    }
+    // Same number of words, different widths: the block is reused and
+    // the width must follow the source.
+    for (auto [from, to] : {std::pair{1u, 64u}, {64u, 1u}, {65u, 128u},
+                            {128u, 65u}}) {
+        Value v = mixedValue(from, rng);
+        const Value src = mixedValue(to, rng);
+        v = src;
+        EXPECT_EQ(v, src) << from << " <- " << to;
+    }
+}
+
+TEST(ValueLayout, MovedFromIsAUsableOneBitZero)
+{
+    Rng rng(47);
+    for (uint32_t w : kLayoutWidths) {
+        SCOPED_TRACE(w);
+        Value src = mixedValue(w, rng);
+        Value dst(std::move(src));
+        EXPECT_EQ(src, Value()); // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(src.width(), 1u);
+        EXPECT_TRUE(src.isZero());
+        EXPECT_EQ((src | Value::ones(1)).toUint64(), 1u);
+
+        Value other = Value::ones(w);
+        other = std::move(dst);
+        EXPECT_EQ(dst, Value()); // NOLINT(bugprone-use-after-move)
+        dst = Value::allX(w);
+        EXPECT_EQ(dst, Value::allX(w)) << "moved-from accepts a new value";
+    }
+}
+
+TEST(ValueLayout, SmallValueOperationsDoNotAllocate)
+{
+    Rng rng(53);
+    for (uint32_t w : {1u, 8u, 63u, 64u}) {
+        SCOPED_TRACE(w);
+        Value a = Value::random(w, rng);
+        Value b = mixedValue(w, rng);
+        Value cond = Value::fromUint(1, 1);
+        Value xcond = Value::allX(1);
+
+        size_t before = g_allocations.load();
+        Value copy = a;
+        Value moved = std::move(copy);
+        copy = b;
+        Value t = Value::ite(cond, a, b);
+        Value m = Value::ite(xcond, a, b);
+        Value sum = a + moved;
+        Value part = a.slice(w - 1, w / 2);
+        size_t after = g_allocations.load();
+
+        EXPECT_EQ(after, before);
+        EXPECT_EQ(t, a);
+        EXPECT_EQ(m.width(), w);
+        EXPECT_EQ(sum, a + a);
+        EXPECT_EQ(part.width(), w - w / 2);
+    }
+}
+
+TEST(ValueLayout, WideValuesHoldOneHeapBlock)
+{
+    Value a = Value::ones(65);
+    size_t before = g_allocations.load();
+    Value copy = a;
+    size_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 1u) << "both planes share one block";
+    Value moved = std::move(copy);
+    EXPECT_EQ(g_allocations.load(), after) << "a move steals the block";
+    EXPECT_EQ(moved, a);
+}
+
+TEST(PackedValueLayout, CopyAndMove)
+{
+    Rng rng(59);
+    for (uint32_t w : {1u, 2u, 65u}) {
+        SCOPED_TRACE(w);
+        std::vector<Value> lanes;
+        for (uint32_t l = 0; l < PackedValue::kLanes; ++l)
+            lanes.push_back(mixedValue(w, rng));
+        const PackedValue p = PackedValue::pack(lanes, w);
+
+        PackedValue copy(p);
+        EXPECT_EQ(copy.laneEq(p), ~0ull);
+        copy.setLane(3, Value::zeros(w));
+        EXPECT_EQ(p.lane(3), lanes[3]) << "a copy owns its own planes";
+
+        PackedValue assigned = PackedValue::zeros(7);
+        assigned = p;
+        EXPECT_EQ(assigned.laneEq(p), ~0ull);
+
+        PackedValue moved(std::move(assigned));
+        EXPECT_EQ(moved.laneEq(p), ~0ull);
+        EXPECT_EQ(assigned.width(), 1u); // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(assigned.laneZero(), ~0ull);
+
+        PackedValue target = PackedValue::allX(3);
+        target = std::move(moved);
+        for (uint32_t l = 0; l < PackedValue::kLanes; ++l)
+            EXPECT_EQ(target.lane(l), lanes[l]);
+    }
+}
+
+TEST(PackedValueLayout, OneBitOperationsDoNotAllocate)
+{
+    std::vector<Value> lanes;
+    for (uint32_t l = 0; l < PackedValue::kLanes; ++l)
+        lanes.push_back(Value::fromUint(1, l % 3 == 0));
+    PackedValue c = PackedValue::pack(lanes, 1);
+    PackedValue ones = PackedValue::broadcast(Value::ones(1));
+
+    size_t before = g_allocations.load();
+    PackedValue copy = c;
+    PackedValue r = PackedValue::ite(copy, ones, ~ones);
+    PackedValue e = (c & ones).eq(c);
+    Value lane = r.lane(3);
+    size_t after = g_allocations.load();
+
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(lane.toUint64(), 1u);
+    EXPECT_EQ(e.laneTrue(), ~0ull);
+}

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include <sys/mman.h>
+
 #include "service/cache.hpp"
 #include "service/job_queue.hpp"
 #include "service/journal.hpp"
@@ -415,4 +417,41 @@ TEST(PeakRss, ParseVmHwmHandlesRealAndDegenerateInput)
     EXPECT_EQ(parseVmHwmKb("VmHWM: 100 MB\n"), std::nullopt);
     EXPECT_EQ(parseVmHwmKb("VmHWM: 100"), std::nullopt);
     EXPECT_EQ(parseVmHwmKb("VmHWM:"), std::nullopt);
+}
+
+TEST(PeakRss, ParseVmRssReadsTheCurrentNotThePeakField)
+{
+    const char *status =
+        "VmPeak:  900 kB\nVmHWM:\t  5544 kB\nVmRSS:\t  1200 kB\n";
+    EXPECT_EQ(parseVmRssKb(status), std::optional<size_t>(1200));
+    EXPECT_EQ(parseVmHwmKb(status), std::optional<size_t>(5544));
+    EXPECT_EQ(parseVmRssKb("VmRSS:      1 kB"), std::optional<size_t>(1));
+    EXPECT_EQ(parseVmRssKb(""), std::nullopt);
+    EXPECT_EQ(parseVmRssKb("VmHWM: 100 kB\n"), std::nullopt);
+    EXPECT_EQ(parseVmRssKb("VmRSS: garbage kB\n"), std::nullopt);
+    EXPECT_EQ(parseVmRssKb("VmRSS: 100 MB\n"), std::nullopt);
+    EXPECT_EQ(parseVmRssKb("VmRSS: 100"), std::nullopt);
+    EXPECT_EQ(parseVmRssKb("VmRSS:"), std::nullopt);
+}
+
+TEST(PeakRss, CurrentRssFallsBackBelowThePeakAfterAFree)
+{
+    if (!std::ifstream("/proc/self/status"))
+        GTEST_SKIP() << "no /proc/self/status";
+    {
+        // Mapped directly, so no allocator can keep it after the free.
+        const size_t bytes = 64u << 20;
+        void *map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        ASSERT_NE(map, MAP_FAILED);
+        char *spike = static_cast<char *>(map);
+        for (size_t i = 0; i < bytes; i += 4096)
+            spike[i] = 1;
+        EXPECT_GE(currentRssKb().value_or(0), 64u << 10);
+        munmap(map, bytes);
+    }
+    std::optional<size_t> now = currentRssKb(), peak = peakRssKb();
+    ASSERT_TRUE(now && peak);
+    EXPECT_LT(*now + (32u << 10), *peak)
+        << "a freed spike must not count against a later budget";
 }
