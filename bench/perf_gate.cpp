@@ -4,275 +4,65 @@
 //
 // Both files use the `rtlrepair-bench-v1` schema written by
 // table5_speed --metrics-out.  For every benchmark present in the
-// baseline, the gate compares the current run's wall_seconds and
-// sat_conflicts against the baseline and fails when either grew by
-// more than the allowed factor (default 1.25, i.e. +25%).  Wall-clock
-// noise on loaded CI runners is real, which is why the deterministic
-// SAT-conflict totals are gated too: an algorithmic regression moves
-// conflicts even when the runner happens to be fast.  Baselines
-// written by newer builds also carry sat_solves (deterministic
-// solve()-call totals) and encode_seconds (window-encode wall time);
-// when present in the baseline those are gated the same way.  The
-// top-level sim_throughput block (event vs vectorized simulation,
-// stimuli/sec) is gated against a hard 8x floor whenever the current
-// run reports it, and against the baseline's speedup when both do.
+// baseline, the gate compares the current run's wall_seconds,
+// sat_conflicts, sat_solves (deterministic solve()-call totals) and
+// encode_seconds (window-encode wall time) against the baseline and
+// fails when any grew by more than the allowed factor (default 1.25,
+// i.e. +25%).  Wall-clock noise on loaded CI runners is real, which
+// is why the deterministic SAT totals are gated too: an algorithmic
+// regression moves them even when the runner happens to be fast.
+// The top-level sim_throughput block (event vs vectorized
+// simulation, stimuli/sec) is gated against a hard 8x floor and
+// against the baseline's speedup.
 //
 // Exit codes: 0 = within budget, 1 = regression, 2 = bad input/usage.
-#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "service/json.hpp"
 
 namespace {
 
-// ---------------------------------------------------------------
-// Minimal JSON reader — just enough for the bench metrics schema.
-// ---------------------------------------------------------------
-
-struct Json
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<Json> array;
-    std::map<std::string, Json> object;
-
-    const Json *
-    find(const std::string &key) const
-    {
-        auto it = object.find(key);
-        return it == object.end() ? nullptr : &it->second;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : _s(text) {}
-
-    bool
-    parse(Json &out)
-    {
-        skipWs();
-        if (!value(out))
-            return false;
-        skipWs();
-        return _pos == _s.size();
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos]))) {
-            ++_pos;
-        }
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t n = std::strlen(word);
-        if (_s.compare(_pos, n, word) != 0)
-            return false;
-        _pos += n;
-        return true;
-    }
-
-    bool
-    value(Json &out)
-    {
-        skipWs();
-        if (_pos >= _s.size())
-            return false;
-        char c = _s[_pos];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"') {
-            out.kind = Json::Kind::String;
-            return string(out.str);
-        }
-        if (c == 't') {
-            out.kind = Json::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = Json::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = Json::Kind::Null;
-            return literal("null");
-        }
-        return number(out);
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (_s[_pos] != '"')
-            return false;
-        ++_pos;
-        out.clear();
-        while (_pos < _s.size() && _s[_pos] != '"') {
-            char c = _s[_pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'u':
-                // The metric names the gate reads are plain ASCII;
-                // keep unknown code points as a placeholder.
-                if (_pos + 4 > _s.size())
-                    return false;
-                _pos += 4;
-                out += '?';
-                break;
-              default: out += esc; break;
-            }
-        }
-        if (_pos >= _s.size())
-            return false;
-        ++_pos;  // closing quote
-        return true;
-    }
-
-    bool
-    number(Json &out)
-    {
-        size_t start = _pos;
-        while (_pos < _s.size() &&
-               (std::isdigit(static_cast<unsigned char>(_s[_pos])) ||
-                std::strchr("+-.eE", _s[_pos]))) {
-            ++_pos;
-        }
-        if (_pos == start)
-            return false;
-        out.kind = Json::Kind::Number;
-        out.number = std::atof(_s.substr(start, _pos - start).c_str());
-        return true;
-    }
-
-    bool
-    array(Json &out)
-    {
-        out.kind = Json::Kind::Array;
-        ++_pos;  // '['
-        skipWs();
-        if (_pos < _s.size() && _s[_pos] == ']') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            Json elem;
-            if (!value(elem))
-                return false;
-            out.array.push_back(std::move(elem));
-            skipWs();
-            if (_pos >= _s.size())
-                return false;
-            if (_s[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            if (_s[_pos] == ']') {
-                ++_pos;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    object(Json &out)
-    {
-        out.kind = Json::Kind::Object;
-        ++_pos;  // '{'
-        skipWs();
-        if (_pos < _s.size() && _s[_pos] == '}') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::string key;
-            if (_pos >= _s.size() || !string(key))
-                return false;
-            skipWs();
-            if (_pos >= _s.size() || _s[_pos] != ':')
-                return false;
-            ++_pos;
-            Json val;
-            if (!value(val))
-                return false;
-            out.object.emplace(std::move(key), std::move(val));
-            skipWs();
-            if (_pos >= _s.size())
-                return false;
-            if (_s[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            if (_s[_pos] == '}') {
-                ++_pos;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    const std::string &_s;
-    size_t _pos = 0;
-};
-
-// ---------------------------------------------------------------
-// Gate logic
-// ---------------------------------------------------------------
+using rtlrepair::service::Json;
 
 struct BenchRow
 {
     std::string status;
     double wall_seconds = 0.0;
     double sat_conflicts = 0.0;
-    double sat_solves = -1.0;       ///< -1: absent (older schema)
-    double encode_seconds = -1.0;   ///< -1: absent (older schema)
-    double svc_cold_seconds = -1.0; ///< -1: absent (older schema)
-    double svc_warm_seconds = -1.0; ///< -1: absent (older schema)
+    double sat_solves = 0.0;
+    double encode_seconds = 0.0;
+    double svc_cold_seconds = 0.0;
+    double svc_warm_seconds = 0.0;
 };
 
 /** One parsed metrics file: the per-benchmark rows plus the
- *  top-level sim-throughput summary (absent in older schemas). */
+ *  top-level vec/event simulation speedup. */
 struct MetricsFile
 {
     std::map<std::string, BenchRow> rows;
-    double sim_event_sps = -1.0; ///< -1: absent (older schema)
-    double sim_vec_sps = -1.0;
-    double sim_speedup = -1.0;
+    double sim_speedup = 0.0;
 };
+
+/** Numeric field @p key of @p obj into @p out; false when absent. */
+bool
+readNumber(const Json &obj, const char *key, double &out)
+{
+    const Json *v = obj.find(key);
+    if (!v || !v->isNumber())
+        return false;
+    out = v->asNumber();
+    return true;
+}
 
 bool
 loadBench(const char *path, MetricsFile &out)
 {
-    std::map<std::string, BenchRow> &rows = out.rows;
     std::ifstream in(path);
     if (!in) {
         std::fprintf(stderr, "perf_gate: cannot read %s\n", path);
@@ -280,56 +70,54 @@ loadBench(const char *path, MetricsFile &out)
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
     Json root;
-    if (!Parser(text).parse(root) ||
-        root.kind != Json::Kind::Object) {
-        std::fprintf(stderr, "perf_gate: %s is not valid JSON\n",
-                     path);
+    std::string error;
+    if (!Json::parse(buf.str(), root, &error) || !root.isObject()) {
+        std::fprintf(stderr, "perf_gate: %s is not valid JSON (%s)\n",
+                     path, error.c_str());
         return false;
     }
-    const Json *schema = root.find("schema");
-    if (!schema || schema->str != "rtlrepair-bench-v1") {
+    if (root.str("schema") != "rtlrepair-bench-v1") {
         std::fprintf(stderr,
                      "perf_gate: %s: expected schema "
                      "rtlrepair-bench-v1\n",
                      path);
         return false;
     }
-    if (const Json *sim = root.find("sim_throughput")) {
-        if (const Json *v = sim->find("event_sps"))
-            out.sim_event_sps = v->number;
-        if (const Json *v = sim->find("vec_sps"))
-            out.sim_vec_sps = v->number;
-        if (const Json *v = sim->find("speedup"))
-            out.sim_speedup = v->number;
+    const Json *sim = root.find("sim_throughput");
+    if (!sim || !readNumber(*sim, "speedup", out.sim_speedup)) {
+        std::fprintf(stderr, "perf_gate: %s: no sim_throughput.speedup\n",
+                     path);
+        return false;
     }
     const Json *benches = root.find("benchmarks");
-    if (!benches || benches->kind != Json::Kind::Array) {
+    if (!benches || !benches->isArray()) {
         std::fprintf(stderr, "perf_gate: %s: no benchmarks array\n",
                      path);
         return false;
     }
-    for (const Json &b : benches->array) {
-        const Json *name = b.find("name");
-        if (!name)
+    for (const Json &b : benches->items()) {
+        std::string name = b.str("name");
+        if (name.empty())
             continue;
         BenchRow row;
-        if (const Json *v = b.find("status"))
-            row.status = v->str;
-        if (const Json *v = b.find("wall_seconds"))
-            row.wall_seconds = v->number;
-        if (const Json *v = b.find("sat_conflicts"))
-            row.sat_conflicts = v->number;
-        if (const Json *v = b.find("sat_solves"))
-            row.sat_solves = v->number;
-        if (const Json *v = b.find("encode_seconds"))
-            row.encode_seconds = v->number;
-        if (const Json *v = b.find("svc_cold_seconds"))
-            row.svc_cold_seconds = v->number;
-        if (const Json *v = b.find("svc_warm_seconds"))
-            row.svc_warm_seconds = v->number;
-        rows[name->str] = row;
+        row.status = b.str("status");
+        const std::pair<const char *, double *> fields[] = {
+            {"wall_seconds", &row.wall_seconds},
+            {"sat_conflicts", &row.sat_conflicts},
+            {"sat_solves", &row.sat_solves},
+            {"encode_seconds", &row.encode_seconds},
+            {"svc_cold_seconds", &row.svc_cold_seconds},
+            {"svc_warm_seconds", &row.svc_warm_seconds},
+        };
+        for (const auto &[key, dst] : fields) {
+            if (!readNumber(b, key, *dst)) {
+                std::fprintf(stderr, "perf_gate: %s: %s has no %s\n",
+                             path, name.c_str(), key);
+                return false;
+            }
+        }
+        out.rows[name] = row;
     }
     return true;
 }
@@ -431,19 +219,13 @@ main(int argc, char **argv)
         ok &= gate(name, "sat_conflicts", base.sat_conflicts,
                    cur.sat_conflicts, max_regress,
                    kConflictNoiseFloor);
-        // Newer-schema metrics: gated only when the baseline has
-        // them, so an older baseline.json keeps working.
-        if (base.sat_solves >= 0 && cur.sat_solves >= 0) {
-            // Deterministic count; floor of 10 forgives one-off
-            // solver-call jitter on trivially small runs only.
-            ok &= gate(name, "sat_solves", base.sat_solves,
-                       cur.sat_solves, max_regress, 10.0);
-        }
-        if (base.encode_seconds >= 0 && cur.encode_seconds >= 0) {
-            ok &= gate(name, "encode_seconds", base.encode_seconds,
-                       cur.encode_seconds, max_regress,
-                       kWallNoiseFloorSeconds);
-        }
+        // Deterministic count; floor of 10 forgives one-off
+        // solver-call jitter on trivially small runs only.
+        ok &= gate(name, "sat_solves", base.sat_solves, cur.sat_solves,
+                   max_regress, 10.0);
+        ok &= gate(name, "encode_seconds", base.encode_seconds,
+                   cur.encode_seconds, max_regress,
+                   kWallNoiseFloorSeconds);
         // Service warm-cache column: gate the warm/cold ratio rather
         // than the raw warm time.  Dividing out the cold run cancels
         // runner speed, so a regression here means the cross-job
@@ -452,9 +234,7 @@ main(int argc, char **argv)
         // slow.  Cold runs below the wall noise floor are skipped:
         // their ratios are all jitter.
         if (base.svc_cold_seconds >= kWallNoiseFloorSeconds &&
-            base.svc_warm_seconds >= 0 &&
-            cur.svc_cold_seconds >= kWallNoiseFloorSeconds &&
-            cur.svc_warm_seconds >= 0) {
+            cur.svc_cold_seconds >= kWallNoiseFloorSeconds) {
             double base_ratio =
                 base.svc_warm_seconds / base.svc_cold_seconds;
             double cur_ratio =
@@ -463,36 +243,23 @@ main(int argc, char **argv)
                        max_regress, 0.0);
         }
     }
-    // Vectorized-simulation throughput.  Two checks, both optional so
-    // an older baseline.json keeps working:
-    //   floor — a current run reporting sim_throughput must hold the
-    //     vectorized backend's advertised advantage (>= 8x stimuli/s
-    //     over the event backend on the fuzz batch workload);
-    //   ratio — when the baseline also has the key, the speedup must
-    //     not shrink by more than the regression factor.  Both sides
-    //     are event-vs-vec ratios on the same machine and workload,
-    //     so runner speed cancels out.
+    // Vectorized-simulation throughput, two checks:
+    //   floor — the current run must hold the vectorized backend's
+    //     advertised advantage (>= 8x stimuli/s over the event
+    //     backend on the fuzz batch workload);
+    //   ratio — the speedup must not shrink by more than the
+    //     regression factor.  Both sides are event-vs-vec ratios on
+    //     the same machine and workload, so runner speed cancels out.
     constexpr double kMinVecSpeedup = 8.0;
-    if (current_file.sim_speedup >= 0) {
-        bool floor_ok = current_file.sim_speedup >= kMinVecSpeedup;
-        std::printf("  %-12s %-14s %10.3f    (floor %.1fx)  %s\n",
-                    "sim", "vec_speedup", current_file.sim_speedup,
-                    kMinVecSpeedup,
-                    floor_ok ? "ok" : "REGRESSION");
-        ok &= floor_ok;
-        if (baseline_file.sim_speedup >= 0) {
-            // gate() checks growth; the speedup regresses by
-            // shrinking, so compare the inverted ratio.
-            ok &= gate("sim", "vec_slowdown",
-                       1.0 / baseline_file.sim_speedup,
-                       1.0 / current_file.sim_speedup, max_regress,
-                       0.0);
-        }
-    } else if (baseline_file.sim_speedup >= 0) {
-        std::printf("  %-12s %-14s MISSING from current run\n", "sim",
-                    "vec_speedup");
-        ok = false;
-    }
+    bool floor_ok = current_file.sim_speedup >= kMinVecSpeedup;
+    std::printf("  %-12s %-14s %10.3f    (floor %.1fx)  %s\n", "sim",
+                "vec_speedup", current_file.sim_speedup, kMinVecSpeedup,
+                floor_ok ? "ok" : "REGRESSION");
+    ok &= floor_ok;
+    // gate() checks growth; the speedup regresses by shrinking, so
+    // compare the inverted ratio.
+    ok &= gate("sim", "vec_slowdown", 1.0 / baseline_file.sim_speedup,
+               1.0 / current_file.sim_speedup, max_regress, 0.0);
     if (!ok) {
         std::printf("perf gate: FAILED (add the perf-waiver label if "
                     "the regression is intended)\n");

@@ -120,8 +120,9 @@ struct SimThroughput
 /**
  * The fuzz batch workload: 64 independent traces replayed against one
  * generated design — the exact shape the fuzzer's batched fresh
- * co-sim check and the repair engine's candidate validation push
- * through replayTraceBatch.  The golden traces are recorded once
+ * co-sim check pushes through replayTraceBatch.  (Candidate repairs
+ * are validated on specialized scalar systems instead, see
+ * repair::ConcreteRunner.)  The golden traces are recorded once
  * outside the timed region; each backend is then re-run until it
  * accumulates enough wall time to dominate timer noise.  The reported
  * figure is stimuli (traces) replayed per second.

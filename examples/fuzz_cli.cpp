@@ -45,7 +45,7 @@ usage(const char *prog)
         "          [--fresh-cycles N] [--extra-trace N]\n"
         "          [--gen-prob P] [--fail-on CLASSES] [--no-reduce]\n"
         "          [--corpus DIR] [--check-determinism]\n"
-        "          [--no-incremental] [--sim auto|event|vec]\n"
+        "          [--sim auto|event|vec]\n"
         "          [--fresh-batch N] [--quiet]\n"
         "       %s --replay entry.fuzz [entry2.fuzz ...]\n",
         prog, prog);
@@ -137,8 +137,6 @@ run(int argc, char **argv)
             config.reduce = false;
         } else if (std::strcmp(argv[i], "--corpus") == 0) {
             config.corpus_dir = value("--corpus");
-        } else if (std::strcmp(argv[i], "--no-incremental") == 0) {
-            config.incremental = false;
         } else if (std::strcmp(argv[i], "--sim") == 0) {
             config.sim_backend = sim::parseSimBackend(value("--sim"));
         } else if (std::strcmp(argv[i], "--fresh-batch") == 0) {

@@ -69,8 +69,7 @@ usage(const char *prog)
 {
     std::fprintf(stderr,
                  "usage: %s <buggy.v> <trace.csv> [--timeout S] "
-                 "[--zero-x] [--jobs N] [--no-incremental] "
-                 "[--sim auto|event|vec] "
+                 "[--zero-x] [--jobs N] "
                  "[--out repaired.v] "
                  "[--report] [--inject-fault STAGE:KIND:NTH] "
                  "[--trace-out t.ndjson] [--perfetto-out t.json] "
@@ -184,13 +183,6 @@ run(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
             config.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--no-incremental") == 0) {
-            // Escape hatch: fresh-per-window reference engine.
-            config.engine.incremental = false;
-        } else if (std::strcmp(argv[i], "--sim") == 0 &&
-                   i + 1 < argc) {
-            config.engine.sim_backend =
-                sim::parseSimBackend(argv[++i]);
         } else if (std::strcmp(argv[i], "--out") == 0 &&
                    i + 1 < argc) {
             out_path = argv[++i];
@@ -247,7 +239,6 @@ run(int argc, char **argv)
         req.timeout_seconds = config.timeout_seconds;
         req.jobs = config.jobs;
         req.zero_x = config.x_policy == sim::XPolicy::Zero;
-        req.incremental = config.engine.incremental;
         req.want_stages = report;
         return runRemote(connect_addr, verilog_path, trace_path, req,
                          retries, out_path, signal_cancel);

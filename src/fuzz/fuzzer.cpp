@@ -267,8 +267,7 @@ FuzzCase::fromCorpus(const CorpusEntry &entry)
 }
 
 std::string
-outcomeFingerprint(const repair::RepairOutcome &outcome,
-                   bool include_solver_stats)
+outcomeFingerprint(const repair::RepairOutcome &outcome)
 {
     std::ostringstream out;
     out << "status=" << static_cast<int>(outcome.status)
@@ -285,15 +284,11 @@ outcomeFingerprint(const repair::RepairOutcome &outcome,
         const repair::WindowStat &w = cand.window;
         out << cand.template_name << " k=" << w.k_past << "/"
             << w.k_future << " " << w.status
-            << " changes=" << w.changes;
-        if (include_solver_stats) {
-            out << " aig=" << w.aig_nodes
-                << " conflicts=" << w.conflicts
-                << " props=" << w.propagations
-                << " restarts=" << w.restarts
-                << " learnt=" << w.learnt_peak;
-        }
-        out << "\n";
+            << " changes=" << w.changes << " aig=" << w.aig_nodes
+            << " conflicts=" << w.conflicts
+            << " props=" << w.propagations
+            << " restarts=" << w.restarts
+            << " learnt=" << w.learnt_peak << "\n";
     }
     if (outcome.repaired)
         out << verilog::print(*outcome.repaired);
@@ -381,8 +376,6 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
         rc.x_policy = m.x_policy;
         rc.seed = fcase.fresh_seed;
         rc.jobs = config.jobs == 0 ? 1 : config.jobs;
-        rc.engine.incremental = config.incremental;
-        rc.engine.sim_backend = config.sim_backend;
         repair::RepairOutcome outcome;
         try {
             outcome =

@@ -122,9 +122,6 @@ struct FuzzConfig
     /** Re-run the pipeline (same seed, and jobs=1 vs jobs=4) and
      *  flag fingerprint divergence as PIPELINE_FAULT. */
     bool check_determinism = false;
-    /** Persistent cross-window solver (false = `--no-incremental`
-     *  fresh-per-window reference engine). */
-    bool incremental = true;
     /** Oracle/co-simulation backend (`--sim`).  Not part of FuzzCase:
      *  both backends are replay-equivalent, so classifications do not
      *  depend on it and corpus entries stay valid across backends. */
@@ -181,15 +178,8 @@ FuzzStats fuzz(const FuzzConfig &config, std::ostream *log = nullptr);
  * statistics, and the printed repaired source — everything except
  * wall-clock times and memory watermarks.  Byte-identical across
  * repeated runs and across jobs=1 vs jobs=N for the same inputs.
- *
- * With @p include_solver_stats false, per-candidate SAT/AIG counters
- * are omitted, leaving only the semantic outcome (status, ladder,
- * changes, repaired source).  That variant is additionally identical
- * across the incremental engine and the fresh-per-window reference,
- * whose solver-internal work necessarily differs.
  */
-std::string outcomeFingerprint(const repair::RepairOutcome &outcome,
-                               bool include_solver_stats = true);
+std::string outcomeFingerprint(const repair::RepairOutcome &outcome);
 
 } // namespace rtlrepair::fuzz
 

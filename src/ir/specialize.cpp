@@ -20,7 +20,7 @@ isAllOnes(const Value &v)
 
 TransitionSystem
 specialize(const TransitionSystem &sys,
-           const std::vector<std::optional<Value>> &fixed)
+           const std::vector<Value> &fixed)
 {
     check(fixed.size() == sys.synth_vars.size(),
           "specialize: one entry per synthesis variable");
@@ -40,11 +40,9 @@ specialize(const TransitionSystem &sys,
             known[ref] = &sys.consts[node.index];
             continue;
           case NodeKind::SynthVar:
-            if (const auto &v = fixed[node.index]) {
-                check(v->width() == node.width,
-                      "specialize: synth var width mismatch");
-                known[ref] = &*v;
-            }
+            check(fixed[node.index].width() == node.width,
+                  "specialize: synth var width mismatch");
+            known[ref] = &fixed[node.index];
             continue;
           case NodeKind::Input:
           case NodeKind::State:
@@ -145,9 +143,6 @@ specialize(const TransitionSystem &sys,
         switch (node.kind) {
           case NodeKind::Input:
             out.inputs[node.index].ref = nref;
-            break;
-          case NodeKind::SynthVar:
-            out.synth_vars[node.index].ref = nref;
             break;
           case NodeKind::State:
             out.states[node.index].ref = nref;

@@ -20,7 +20,6 @@
 #ifndef RTLREPAIR_IR_SPECIALIZE_HPP
 #define RTLREPAIR_IR_SPECIALIZE_HPP
 
-#include <optional>
 #include <vector>
 
 #include "ir/transition_system.hpp"
@@ -28,20 +27,19 @@
 namespace rtlrepair::ir {
 
 /**
- * Copy of @p sys with synthesis variable i replaced by @p fixed[i]
- * wherever that is set, exactly folded, and pruned to the nodes that
- * outputs and state next functions reach.
+ * Copy of @p sys with synthesis variable i replaced by @p fixed[i],
+ * exactly folded, and pruned to the nodes that outputs and state next
+ * functions reach.
  *
  * The result keeps the state/input/output/synth-var tables of @p sys
  * index for index, so values are driven and read at the same indices
  * on both systems.  Port names and `signals` are not copied (look
- * names up on @p sys).  Every state keeps its State node; an input or
- * synthesis variable that no kept node reads — every fixed one among
- * them — has `ref == kNullRef`.
+ * names up on @p sys).  Every state keeps its State node; every
+ * synthesis variable, and every input that no kept node reads, has
+ * `ref == kNullRef`.
  */
 TransitionSystem specialize(const TransitionSystem &sys,
-                            const std::vector<std::optional<bv::Value>>
-                                &fixed);
+                            const std::vector<bv::Value> &fixed);
 
 } // namespace rtlrepair::ir
 

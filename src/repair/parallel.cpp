@@ -9,21 +9,15 @@
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtlrepair::repair {
 
 using bv::Value;
-using templates::SynthAssignment;
 
 namespace {
 
 // All portfolio metrics are scheduling-dependent by nature.
-telemetry::Counter s_spec_launched("portfolio.speculative_launched",
-                                   telemetry::MetricKind::Unstable);
-telemetry::Counter s_spec_hits("portfolio.speculative_hits",
-                               telemetry::MetricKind::Unstable);
-telemetry::Counter s_spec_ready("portfolio.speculative_ready",
-                                telemetry::MetricKind::Unstable);
 telemetry::Counter s_cancelled("portfolio.cancelled",
                                telemetry::MetricKind::Unstable);
 telemetry::Gauge s_cancel_latency("portfolio.cancel_latency_us",
@@ -43,289 +37,6 @@ resolveJobs(unsigned requested)
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-namespace {
-
-/** Result of one window-candidate solve on a pool worker. */
-struct WindowSolve
-{
-    SynthesisResult synth;
-    WindowStat stat;
-};
-
-/** One in-flight window candidate (frontier or speculative). */
-struct WindowJob
-{
-    WindowLadder state;
-    bool speculative = false;  ///< launched ahead of the frontier
-    uint64_t cancel_us = 0;    ///< telemetry: cancel() timestamp
-    std::shared_ptr<CancelToken> token;
-    std::shared_ptr<Deadline> deadline;
-    std::future<WindowSolve> fut;
-};
-
-/** Cancel + await every in-flight job (ignores their results). */
-void
-drainJobs(std::vector<WindowJob> &jobs, ThreadPool &pool)
-{
-    const bool tel = telemetry::enabled();
-    for (auto &job : jobs) {
-        job.token->cancel();
-        if (tel)
-            job.cancel_us = telemetry::nowUs();
-    }
-    for (auto &job : jobs) {
-        try {
-            pool.waitCollect(job.fut);
-        } catch (...) {
-            // A cancelled speculative solve that failed is irrelevant:
-            // the serial cascade would never have reached it.
-        }
-        if (tel && job.cancel_us) {
-            s_cancelled.add(1);
-            s_cancel_latency.record(telemetry::nowUs() -
-                                    job.cancel_us);
-        }
-    }
-    jobs.clear();
-}
-
-/** Drains in-flight jobs on every exit path: the job closures hold
- *  references to engine-local state (system, runner snapshots). */
-struct DrainGuard
-{
-    std::vector<WindowJob> *jobs;
-    ThreadPool *pool;
-    ~DrainGuard() { drainJobs(*jobs, *pool); }
-};
-
-} // namespace
-
-EngineResult
-runEngineParallel(const ir::TransitionSystem &sys,
-                  const templates::SynthVarTable &vars,
-                  const trace::IoTrace &resolved,
-                  const std::vector<Value> &init,
-                  const EngineConfig &config,
-                  const Deadline *deadline, ThreadPool &pool)
-{
-    EngineResult result;
-    ConcreteRunner runner(sys, resolved, init);
-
-    // Baseline run: the unmodified circuit (all φ off).
-    sim::ReplayResult base = runner.run(SynthAssignment{});
-    if (base.passed) {
-        result.status = EngineResult::Status::Repaired;
-        result.assignment = SynthAssignment::allOff(vars);
-        result.changes = 0;
-        result.failure_free = true;
-        return result;
-    }
-    size_t f = base.first_failure;
-    result.first_failure = f;
-
-    check(config.adaptive,
-          "runEngineParallel requires the adaptive engine");
-    check(!config.incremental,
-          "speculative window solves require fresh-per-window "
-          "queries; incremental mode runs the serial engine");
-
-    // Local copy: the degradation ladder may halve the window growth
-    // step after a faulted solve.
-    EngineConfig cfg = config;
-    const std::string solve_stage = solveStageName(cfg.stage_label);
-    int retries_used = 0;
-    uint64_t solver_seed = 0;
-
-    std::vector<WindowJob> inflight;
-    DrainGuard drain_guard{&inflight, &pool};
-
-    // Launch the solve for ladder state @p st unless already queued.
-    // Captures the current solver seed; after a retry reseeds, the
-    // in-flight set has been drained, so stale-seed results can never
-    // be consumed.
-    auto ensure = [&](const WindowLadder &st, bool speculative) {
-        for (const auto &job : inflight) {
-            if (job.state == st)
-                return;
-        }
-        WindowLadder::Window w = st.window();
-        // Window-start states come from the (cached) concrete prefix
-        // simulation on this thread; only the symbolic solve is
-        // shipped to the pool.
-        std::vector<Value> start_state = runner.statesAt(w.start);
-        WindowJob job;
-        job.state = st;
-        job.speculative = speculative;
-        if (speculative)
-            s_spec_launched.add(1);
-        job.token = std::make_shared<CancelToken>();
-        job.deadline =
-            std::make_shared<Deadline>(deadline, job.token.get());
-        auto job_deadline = job.deadline;
-        size_t max_candidates = cfg.max_candidates;
-        uint64_t seed = solver_seed;
-        // Window-solve spans nest under whatever span is open on the
-        // submitting thread, across the pool boundary.
-        uint64_t span_parent = telemetry::Span::currentId();
-        job.fut = pool.submit([&sys, &vars, &resolved, st, w,
-                               start_state = std::move(start_state),
-                               job_deadline, max_candidates, seed,
-                               span_parent]() -> WindowSolve {
-            telemetry::SpanParent adopt(span_parent);
-            telemetry::Span span("window.solve");
-            Stopwatch watch;
-            RepairQuery query(sys, vars, resolved, w.start, w.count,
-                              start_state, job_deadline.get(), seed);
-            WindowSolve out;
-            out.synth = synthesizeMinimalRepairs(
-                query, vars, max_candidates, job_deadline.get());
-            out.stat.k_past = static_cast<int>(st.k_past);
-            out.stat.k_future = static_cast<int>(st.k_future);
-            out.stat.solve_seconds = watch.seconds();
-            captureQueryStats(out.stat, query, job_deadline.get());
-            switch (out.synth.status) {
-              case SynthesisResult::Status::Timeout:
-                out.stat.status = "timeout";
-                break;
-              case SynthesisResult::Status::NoRepair:
-                out.stat.status = "unsat";
-                break;
-              case SynthesisResult::Status::Found:
-                out.stat.status = "sat";
-                out.stat.changes = out.synth.changes;
-                break;
-            }
-            return out;
-        });
-        inflight.push_back(std::move(job));
-    };
-    // Removes the job before awaiting it, so a throwing solve leaves
-    // the in-flight set consistent for the next drain.
-    auto take = [&](const WindowLadder &st) -> WindowSolve {
-        for (size_t i = 0; i < inflight.size(); ++i) {
-            if (!(inflight[i].state == st))
-                continue;
-            WindowJob job = std::move(inflight[i]);
-            inflight.erase(inflight.begin() +
-                           static_cast<ptrdiff_t>(i));
-            if (job.speculative && telemetry::enabled()) {
-                s_spec_hits.add(1);
-                if (job.fut.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready) {
-                    s_spec_ready.add(1);
-                }
-            }
-            return pool.waitCollect(job.fut);
-        }
-        panic("window job missing from the in-flight set");
-    };
-
-    WindowLadder ladder;
-    ladder.failure = f;
-    ladder.trace_len = resolved.length();
-    while (true) {
-        if (deadline && deadline->expired()) {
-            result.status = EngineResult::Status::Timeout;
-            return result;
-        }
-        if (ladder.exhausted(cfg)) {
-            result.status = EngineResult::Status::NoRepair;
-            return result;
-        }
-        size_t rss_kb = cfg.max_rss_kb > 0
-                            ? currentRssKb().value_or(0) : 0;
-        if (rss_kb > cfg.max_rss_kb) {
-            result.status = EngineResult::Status::Failed;
-            result.error =
-                format("RSS watermark exceeded (%zu KiB)", rss_kb);
-            return result;
-        }
-
-        // Keep the frontier plus the predicted next windows in
-        // flight; past growth is the common ladder transition, so the
-        // speculative solves are usually the ones needed next.
-        ensure(ladder, /*speculative=*/false);
-        WindowLadder spec = ladder;
-        for (size_t d = 0; d < cfg.speculation; ++d) {
-            spec = spec.predictedNext(cfg);
-            if (spec.exhausted(cfg))
-                break;
-            ensure(spec, /*speculative=*/true);
-        }
-
-        // The guard sits on the deterministic ladder-consume path (not
-        // inside the pool jobs), so the fault-site sequence is the
-        // same for jobs=1 and jobs=N: one hit per window attempt, in
-        // ladder order.  waitCollect rethrows a faulted pool solve
-        // right here, where the guard can contain it.
-        WindowSolve solve;
-        StageGuard guard(solve_stage, result.stages);
-        guard.setRetries(retries_used);
-        bool solved = guard.run([&] { solve = take(ladder); });
-        if (!solved) {
-            if (guard.report().status == StageStatus::TimedOut) {
-                result.status = EngineResult::Status::Timeout;
-                return result;
-            }
-            // Degradation ladder, rung 1: drain every in-flight solve
-            // (their results used the old seed) and retry this window
-            // with a reseeded solver and halved window growth.  Rung
-            // 2: give up on this template only.
-            if (retries_used < cfg.solve_retries) {
-                ++retries_used;
-                solver_seed = retrySolverSeed(retries_used);
-                cfg.past_step = cfg.past_step > 1 ? cfg.past_step / 2
-                                                  : cfg.past_step;
-                drainJobs(inflight, pool);
-                continue;
-            }
-            result.status = EngineResult::Status::Failed;
-            result.error = guard.report().diagnostic;
-            return result;
-        }
-        result.windows.push_back(solve.stat);
-        if (solve.synth.status == SynthesisResult::Status::Timeout) {
-            result.status = EngineResult::Status::Timeout;
-            return result;
-        }
-        if (solve.synth.status == SynthesisResult::Status::NoRepair) {
-            // No repair exists in this window: more past context.
-            ladder.growPast(cfg);
-            continue;
-        }
-
-        bool any_later = false;
-        size_t latest_failure = f;
-        for (const auto &candidate : solve.synth.repairs) {
-            sim::ReplayResult r = runner.run(candidate);
-            result.windows.back().replay_cycles += replayCycles(r);
-            if (r.passed) {
-                result.status = EngineResult::Status::Repaired;
-                result.assignment = candidate;
-                result.changes = solve.synth.changes;
-                result.window_past = static_cast<int>(ladder.k_past);
-                result.window_future =
-                    static_cast<int>(ladder.k_future);
-                return result;
-            }
-            if (r.first_failure > f) {
-                any_later = true;
-                latest_failure =
-                    std::max(latest_failure, r.first_failure);
-            }
-        }
-        if (any_later) {
-            // Missing future context: include the new failure cycle.
-            // Every in-flight speculation predicted past growth and
-            // is now mispredicted — stop it burning cores.
-            ladder.growFuture(latest_failure);
-            drainJobs(inflight, pool);
-        } else {
-            ladder.growPast(cfg);
-        }
-    }
 }
 
 namespace {
@@ -381,7 +92,7 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
                 const std::vector<const verilog::Module *> &library,
                 const trace::IoTrace &resolved,
                 const std::vector<Value> &init,
-                const RepairConfig &config, ThreadPool &pool)
+                const RepairConfig &config)
 {
     using Outcome = TemplateSlot::Outcome;
     if (s.deadline.cancelled()) {
@@ -450,18 +161,8 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
     StageGuard guard("engine:" + s.name, s.stages,
                      StageGuard::Recording::OnFault);
     bool ran = guard.run([&] {
-        // The incremental engine keeps one solver alive across the
-        // ladder, which is incompatible with speculative per-window
-        // pool solves; template-level parallelism (one slot per
-        // template, first-success cancellation) still applies, and
-        // the ladder state machine is shared, so jobs=1 ≡ jobs=N
-        // stays bit-exact in both modes.
-        engine = engine_cfg.adaptive && !engine_cfg.incremental
-                     ? runEngineParallel(sys, inst.vars, resolved,
-                                         init, engine_cfg, &s.deadline,
-                                         pool)
-                     : runEngine(sys, inst.vars, resolved, init,
-                                 engine_cfg, &s.deadline);
+        engine = runEngine(sys, inst.vars, resolved, init, engine_cfg,
+                           &s.deadline);
     });
     s.stages.insert(s.stages.end(), engine.stages.begin(),
                     engine.stages.end());
@@ -555,7 +256,7 @@ runPortfolio(const verilog::Module &preprocessed,
         uint64_t span_parent = telemetry::Span::currentId();
         slot->done = pool.submit([s, shared_tmpl, &preprocessed,
                                   &library, &resolved, &init, &config,
-                                  &pool, span_parent]() {
+                                  span_parent]() {
             // `finished` is flagged even when the task throws, so the
             // scheduler loop can never spin forever; the exception
             // stays in the future and is rethrown by waitCollect.
@@ -573,7 +274,7 @@ runPortfolio(const verilog::Module &preprocessed,
             telemetry::SpanParent adopt(span_parent);
             telemetry::Span span("task:" + s->name);
             runTemplateTask(*s, *shared_tmpl, preprocessed, library,
-                            resolved, init, config, pool);
+                            resolved, init, config);
         });
         slots.push_back(std::move(slot));
     }

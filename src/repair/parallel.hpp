@@ -1,33 +1,28 @@
 /**
  * @file
- * Parallel repair portfolio: the template cascade and the adaptive
- * windowing ladder, scheduled over a work-stealing thread pool with
- * first-success-wins cooperative cancellation.
+ * Parallel repair portfolio: the template cascade scheduled over a
+ * work-stealing thread pool with first-success-wins cooperative
+ * cancellation.
  *
- * Every (template × window) candidate is an independent symbolic
- * solve, so the portfolio
- *  (a) applies + elaborates each repair template concurrently,
- *  (b) launches window candidates for each instrumented system as
- *      independent RepairQuery solves on pool workers (the ladder's
- *      predicted next windows are solved speculatively ahead of the
- *      frontier), and
- *  (c) cancels losing candidates the moment a winner is decided, via
+ * Each repair template is an independent task, so the portfolio
+ *  (a) applies, elaborates and repairs each template concurrently,
+ *      one runEngine() (one incremental solver walking the window
+ *      ladder) per template, and
+ *  (b) cancels losing templates the moment a winner is decided, via
  *      CancelTokens threaded through the existing Deadline plumbing
  *      into the SAT solver's propagate/restart loop and the query
  *      encoder.
  *
  * Determinism rule: the scheduler consumes results in exactly the
  * order the serial cascade implies — templates in standardTemplates()
- * order, windows in ladder order — and applies the same (fewest
- * changes, template order, smallest window) ranking.  Thread timing
- * affects only wall-clock, never the repair reported; jobs=1 and
- * jobs=N produce bit-identical outcomes.
+ * order — and applies the same (fewest changes, template order)
+ * ranking.  Thread timing affects only wall-clock, never the repair
+ * reported; jobs=1 and jobs=N produce bit-identical outcomes.
  */
 #ifndef RTLREPAIR_REPAIR_PARALLEL_HPP
 #define RTLREPAIR_REPAIR_PARALLEL_HPP
 
 #include "repair/driver.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rtlrepair::repair {
 
@@ -76,21 +71,6 @@ runPortfolio(const verilog::Module &preprocessed,
              const std::vector<bv::Value> &init,
              const RepairConfig &config, const Deadline &deadline,
              unsigned jobs);
-
-/**
- * Adaptive-windowing engine for one instrumented system with window
- * candidates solved on @p pool workers: the ladder frontier plus up
- * to EngineConfig::speculation predicted next windows are in flight
- * at once; mispredicted speculative solves are cancelled.  Follows
- * the exact ladder transitions of the serial runEngine().
- */
-EngineResult
-runEngineParallel(const ir::TransitionSystem &sys,
-                  const templates::SynthVarTable &vars,
-                  const trace::IoTrace &resolved,
-                  const std::vector<bv::Value> &init,
-                  const EngineConfig &config,
-                  const Deadline *deadline, ThreadPool &pool);
 
 } // namespace rtlrepair::repair
 

@@ -57,9 +57,8 @@ synthesizeMinimalRepairs(RepairQuery &query,
 
     // Canonicalize to the lex-smallest minimal model: the repair
     // reported for a window then depends only on the window's
-    // semantic constraints, not on the CNF encoding — the persistent
-    // incremental query and the fresh-per-window reference agree
-    // bit-exactly.
+    // semantic constraints, not on the CNF encoding or the solver's
+    // trajectory.
     if (!query.canonicalizeLast(k, deadline)) {
         result.status = SynthesisResult::Status::Timeout;
         return result;

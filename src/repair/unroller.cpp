@@ -10,9 +10,10 @@ namespace rtlrepair::repair {
 
 namespace {
 
-// Unstable: encodes happen inside speculative portfolio solves too,
-// so the totals depend on scheduling; the deterministic per-window
-// numbers are folded from WindowStat on the ladder-consume path.
+// Unstable: template tasks that the portfolio cancels encode windows
+// too, so the totals depend on scheduling; the deterministic
+// per-window numbers are folded from WindowStat over the final
+// outcome's candidate list.
 telemetry::Counter s_queries("unroll.queries_encoded",
                              telemetry::MetricKind::Unstable);
 telemetry::Counter s_cycles("unroll.cycles_encoded",
@@ -152,15 +153,12 @@ RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
                          const trace::IoTrace &io, size_t first,
                          size_t count,
                          const std::vector<Value> &start_state,
-                         const Deadline *deadline,
-                         uint64_t solver_seed)
+                         const Deadline *deadline)
     : _sys(sys), _vars(vars), _io(io)
 {
     telemetry::Span span("encode");
     s_queries.add(1);
     s_max_window.record(count);
-    if (solver_seed != 0)
-        _solver.satCore().setPhaseSeed(solver_seed);
     check(first + count <= io.length(), "window exceeds trace");
     check(start_state.size() == sys.states.size(),
           "start state size mismatch");
@@ -351,8 +349,8 @@ RepairQuery::solveWithBound(size_t max_changes,
     if (_window_free_unsat ||
         static_cast<long>(max_changes) <= _dead_bound) {
         // An earlier core proved this bound UNSAT from
-        // window-independent constraints; the fresh reference would
-        // re-derive the same verdict the long way.
+        // window-independent constraints, which hold in every later
+        // window too.
         if (static_cast<long>(max_changes) <= _dead_bound)
             s_dead_bounds.add(1);
         _last = Result::Unsat;
@@ -394,10 +392,10 @@ RepairQuery::canonicalizeLast(size_t max_changes,
     // cardinality bound and fixed for free too.  The fixpoint is the
     // unique greedy-canonical model of the semantic constraint set,
     // so it does not depend on CNF layout, variable numbering, or
-    // solver heuristics — the incremental query and the fresh
-    // reference report identical repairs.  Cores from these solves
-    // mention the fixed-bit assumptions and are deliberately not fed
-    // to noteUnsatCore.
+    // solver heuristics — the persistent solver's window history and
+    // a reseeded retry leave the reported repair unchanged.  Cores
+    // from these solves mention the fixed-bit assumptions and are
+    // deliberately not fed to noteUnsatCore.
     std::vector<Lit> assumps = baseAssumptions();
     assumps.push_back(_card->atMost(max_changes));
     templates::SynthAssignment current = *_last_model;
@@ -466,8 +464,8 @@ RepairQuery::blockAssignment(
 
     std::vector<sat::Lit> clause;
     // Incremental mode: gate the exclusion behind the window's block
-    // session so it evaporates (one unit clause) on retarget —
-    // matching the fresh reference, whose blocks die with the query.
+    // session so it evaporates (one unit clause) on retarget — a
+    // sample excluded in one window stays a candidate in the next.
     if (_incremental) {
         if (_session == sat::kUndefLit)
             _session = _solver.newActivationLit();

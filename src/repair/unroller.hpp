@@ -15,9 +15,11 @@
  *
  * Two modes share this class:
  *
- *  - Fresh (the `--no-incremental` reference): one query per window,
- *    the start state folded into the encoding as constants.
- *  - Incremental: one query lives across the whole window ladder.
+ *  - Fresh: the basic synthesizer's full-unroll query (paper §3,
+ *    EngineConfig::adaptive = false), the start state folded into
+ *    the encoding as constants.
+ *  - Incremental: the adaptive engine's query, which lives across
+ *    the whole window ladder.
  *    The entry state is a vector of free variables equated to the
  *    concrete start state through an *anchor* activation literal that
  *    is passed as an assumption; growing the window encodes only the
@@ -32,9 +34,10 @@
  *    inconsistent — every larger window is UNSAT too.
  *
  * Both modes canonicalize reported models to the lexicographically
- * smallest synthesis-variable assignment, making the chosen repairs
- * independent of CNF-level encoding differences — this is what lets
- * the incremental engine reproduce the fresh reference bit-exactly.
+ * smallest synthesis-variable assignment, so the chosen repair
+ * depends only on the window's semantic constraints — not on the
+ * solver trajectory, the window history of the persistent solver, or
+ * the reseeded solver of a retried window solve.
  */
 #ifndef RTLREPAIR_REPAIR_UNROLLER_HPP
 #define RTLREPAIR_REPAIR_UNROLLER_HPP
@@ -59,23 +62,23 @@ class RepairQuery
     };
 
     /**
-     * Fresh mode: encode the window immediately.  @p start_state
-     * holds one fully-known value per system state.  The trace's
-     * input X bits must already be resolved (randomize/zero per
-     * §4.3).  A non-zero @p solver_seed scrambles the SAT phase
-     * heuristic — the degradation ladder's "retry with a reseeded
-     * solver" knob.
+     * Fresh mode: encode cycles [first, first + count) immediately —
+     * the basic synthesizer unrolls the whole trace this way.
+     * @p start_state holds one fully-known value per system state.
+     * The trace's input X bits must already be resolved
+     * (randomize/zero per §4.3).
      */
     RepairQuery(const ir::TransitionSystem &sys,
                 const templates::SynthVarTable &vars,
                 const trace::IoTrace &io, size_t first, size_t count,
                 const std::vector<bv::Value> &start_state,
-                const Deadline *deadline = nullptr,
-                uint64_t solver_seed = 0);
+                const Deadline *deadline = nullptr);
 
     /**
      * Incremental mode: nothing is encoded yet; call retarget() for
-     * each window the ladder visits.
+     * each window the ladder visits.  A non-zero @p solver_seed
+     * scrambles the SAT phase heuristic — the degradation ladder's
+     * "retry with a reseeded solver" knob.
      */
     RepairQuery(const ir::TransitionSystem &sys,
                 const templates::SynthVarTable &vars,
@@ -131,9 +134,8 @@ class RepairQuery
      * synthesis assignment satisfying the query under Σφ ≤
      * @p max_changes (variables in system order, bits LSB-first).
      * The lex minimum is unique per *semantic* constraint set, so
-     * canonical models agree across encodings — the incremental query
-     * and the fresh reference pick identical repairs.  Returns false
-     * on timeout.
+     * canonical models agree across encodings and solver seeds.
+     * Returns false on timeout.
      */
     bool canonicalizeLast(size_t max_changes,
                           const Deadline *deadline);

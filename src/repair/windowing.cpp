@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "ir/specialize.hpp"
-#include "sim/vec_sim.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
@@ -50,27 +49,20 @@ telemetry::Counter s_sim_cycles("sim.cycles");
 const sim::SimOptions kReplayOptions{sim::XPolicy::Keep,
                                      sim::XPolicy::Keep, 1};
 
-/** Value of synthesis variable @p var of @p sys under @p assignment
- *  (zero when the assignment does not name it). */
-Value
-synthValue(const ir::TransitionSystem &sys,
-           const SynthAssignment &assignment, size_t var)
-{
-    const ir::SynthVarInfo &info = sys.synth_vars[var];
-    auto it = assignment.values.find(info.name);
-    return it != assignment.values.end() ? it->second
-                                         : Value::zeros(info.width);
-}
-
-/** Every synthesis variable of @p sys fixed as @p assignment sets it. */
-std::vector<std::optional<Value>>
+/** Every synthesis variable of @p sys as @p assignment sets it (zero
+ *  where the assignment does not name it). */
+std::vector<Value>
 fixedUnder(const ir::TransitionSystem &sys,
            const SynthAssignment &assignment)
 {
-    std::vector<std::optional<Value>> fixed;
+    std::vector<Value> fixed;
     fixed.reserve(sys.synth_vars.size());
-    for (size_t i = 0; i < sys.synth_vars.size(); ++i)
-        fixed.emplace_back(synthValue(sys, assignment, i));
+    for (const ir::SynthVarInfo &info : sys.synth_vars) {
+        auto it = assignment.values.find(info.name);
+        fixed.push_back(it != assignment.values.end()
+                            ? it->second
+                            : Value::zeros(info.width));
+    }
     return fixed;
 }
 
@@ -141,20 +133,10 @@ WindowLadder::growFuture(size_t latest_failure)
     k_future = std::max(k_future + 1, needed);
 }
 
-WindowLadder
-WindowLadder::predictedNext(const EngineConfig &config) const
-{
-    WindowLadder next = *this;
-    next.growPast(config);
-    return next;
-}
-
 ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                const trace::IoTrace &resolved,
-                               std::vector<Value> init,
-                               sim::SimBackend backend)
+                               std::vector<Value> init)
     : _sys(sys), _io(resolved), _init(std::move(init)),
-      _backend(backend),
       _off(ir::specialize(sys, fixedUnder(sys, SynthAssignment{}))),
       _off_interp(_off, kReplayOptions)
 {
@@ -212,15 +194,6 @@ ConcreteRunner::replay(sim::Interpreter &interp)
 }
 
 sim::ReplayResult
-ConcreteRunner::runScalar(const SynthAssignment &assignment)
-{
-    ir::TransitionSystem spec =
-        ir::specialize(_sys, fixedUnder(_sys, assignment));
-    sim::Interpreter interp(spec, kReplayOptions);
-    return replay(interp);
-}
-
-sim::ReplayResult
 ConcreteRunner::run(const SynthAssignment &assignment)
 {
     if (assignment.values.empty()) {
@@ -228,102 +201,20 @@ ConcreteRunner::run(const SynthAssignment &assignment)
         return replay(_off_interp);
     }
     telemetry::Span span("replay:candidates");
-    return runScalar(assignment);
+    ir::TransitionSystem spec =
+        ir::specialize(_sys, fixedUnder(_sys, assignment));
+    sim::Interpreter interp(spec, kReplayOptions);
+    return replay(interp);
 }
 
 std::vector<sim::ReplayResult>
 ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
 {
-    telemetry::Span span("replay:candidates");
     std::vector<sim::ReplayResult> out;
-    sim::SimBackend resolved = sim::resolveSimBackend(_backend);
-    bool scalar =
-        resolved == sim::SimBackend::Event || assignments.size() <= 1;
-    if (resolved == sim::SimBackend::Auto && !scalar) {
-        // The packed representation stores one word per bit position,
-        // so a transposed op costs ~width words where the scalar
-        // interpreter pays one.  Wide datapaths (sha3-class, >64-bit
-        // nets) erase the 64-lane sharing win; let Auto keep those on
-        // the scalar path and reserve the packed interpreter for the
-        // narrow control-logic designs it accelerates.
-        uint32_t maxw = 0;
-        for (const auto &node : _sys.nodes)
-            maxw = std::max(maxw, node.width);
-        scalar = maxw > 64;
-    }
-    if (scalar) {
-        for (const auto &a : assignments) {
-            out.push_back(runScalar(a));
-            if (out.back().passed)
-                break;
-        }
-        return out;
-    }
-    using bv::PackedValue;
-    for (size_t base = 0; base < assignments.size();
-         base += PackedValue::kLanes) {
-        uint32_t n = static_cast<uint32_t>(std::min<size_t>(
-            PackedValue::kLanes, assignments.size() - base));
-        // Variables every lane agrees on are folded into the system;
-        // only the ones that differ stay per-lane inputs.
-        std::vector<std::vector<Value>> lanes(_sys.synth_vars.size());
-        std::vector<std::optional<Value>> fixed(_sys.synth_vars.size());
-        for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
-            lanes[i].reserve(n);
-            for (uint32_t l = 0; l < n; ++l)
-                lanes[i].push_back(
-                    synthValue(_sys, assignments[base + l], i));
-            bool agree = true;
-            for (uint32_t l = 1; l < n && agree; ++l)
-                agree = lanes[i][l] == lanes[i][0];
-            if (agree)
-                fixed[i] = lanes[i][0];
-        }
-        ir::TransitionSystem spec = ir::specialize(_sys, fixed);
-        sim::VecInterpreter vi(spec, n);
-        for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
-            if (fixed[i])
-                continue;
-            for (uint32_t l = 0; l < n; ++l)
-                vi.setSynthVar(i, l, lanes[i][l]);
-        }
-        for (size_t i = 0; i < _init.size(); ++i)
-            vi.setStateAll(i, _init[i]);
-        out.resize(base + n);
-        uint64_t still = vi.allLanes();
-        for (size_t cycle = 0; cycle < _io.length() && still;
-             ++cycle) {
-            for (size_t i = 0; i < _input_map.size(); ++i) {
-                vi.setInputAll(static_cast<size_t>(_input_map[i]),
-                               _io.input_rows[cycle][i]);
-            }
-            vi.evalCycle();
-            for (size_t i = 0; i < _output_map.size() && still; ++i) {
-                const PackedValue &got = vi.output(
-                    static_cast<size_t>(_output_map[i]));
-                uint64_t mismatch =
-                    still & ~got.laneMatches(PackedValue::broadcast(
-                                _io.output_rows[cycle][i]));
-                if (!mismatch)
-                    continue;
-                for (uint32_t l = 0; l < n; ++l) {
-                    if (!((mismatch >> l) & 1))
-                        continue;
-                    out[base + l].passed = false;
-                    out[base + l].first_failure = cycle;
-                    out[base + l].failed_output = _io.outputs[i].name;
-                }
-                still &= ~mismatch;
-            }
-            vi.step();
-        }
-        for (uint32_t l = 0; l < n; ++l) {
-            if ((still >> l) & 1) {
-                out[base + l].first_failure = _io.length();
-                out.resize(base + l + 1);
-                return out;
-            }
-        }
+    for (const auto &a : assignments) {
+        out.push_back(run(a));
+        if (out.back().passed)
+            break;
     }
     return out;
 }
@@ -453,7 +344,7 @@ runEngine(const ir::TransitionSystem &sys,
           const Deadline *deadline)
 {
     EngineResult result;
-    ConcreteRunner runner(sys, resolved, init, config.sim_backend);
+    ConcreteRunner runner(sys, resolved, init);
 
     // Baseline run: the unmodified circuit (all φ off).
     sim::ReplayResult base = runner.run(SynthAssignment{});
@@ -479,9 +370,9 @@ runEngine(const ir::TransitionSystem &sys,
     int retries_used = 0;
     uint64_t solver_seed = 0;
 
-    // Incremental mode: one persistent query lives across the whole
-    // ladder; each window retargets it in place.  Reset (and rebuilt
-    // with the retry seed) when a window solve faults.
+    // One persistent query lives across the whole ladder; each window
+    // retargets it in place.  Reset (and rebuilt with the retry seed)
+    // when a window solve faults.
     std::optional<RepairQuery> inc_query;
 
     WindowLadder ladder;
@@ -520,10 +411,9 @@ runEngine(const ir::TransitionSystem &sys,
         // UNSAT-core fast-forward: a previous window's core proved
         // the window-independent constraints inconsistent, so this
         // window (and every larger one) is UNSAT without a solve.
-        // The stage guard still runs (empty) so the fault-site and
-        // stage-report sequences match the fresh reference.
-        if (cfg.incremental && inc_query &&
-            inc_query->windowIndependentUnsat()) {
+        // The stage guard still runs (empty) so every window visited
+        // leaves one fault site and one stage report.
+        if (inc_query && inc_query->windowIndependentUnsat()) {
             bool ok = guard.run([] {});
             if (ok) {
                 stat.k_past = static_cast<int>(ladder.k_past);
@@ -553,25 +443,17 @@ runEngine(const ir::TransitionSystem &sys,
         std::vector<Value> start_state = runner.statesAt(w.start);
 
         bool solved = guard.run([&] {
-            if (cfg.incremental) {
-                if (!inc_query) {
-                    inc_query.emplace(sys, vars, resolved,
-                                      RepairQuery::Incremental{},
-                                      deadline, solver_seed);
-                }
-                inc_query->retarget(w.start, w.count, start_state,
-                                    deadline);
-                synth = synthesizeMinimalRepairs(
-                    *inc_query, vars, cfg.max_candidates, deadline);
-                captureQueryStats(stat, *inc_query, deadline);
-            } else {
-                RepairQuery query(sys, vars, resolved, w.start,
-                                  w.count, start_state, deadline,
+            if (!inc_query) {
+                inc_query.emplace(sys, vars, resolved,
+                                  RepairQuery::Incremental{}, deadline,
                                   solver_seed);
-                synth = synthesizeMinimalRepairs(
-                    query, vars, cfg.max_candidates, deadline);
-                captureQueryStats(stat, query, deadline);
             }
+            inc_query->retarget(w.start, w.count, start_state,
+                                deadline);
+            synth = synthesizeMinimalRepairs(*inc_query, vars,
+                                             cfg.max_candidates,
+                                             deadline);
+            captureQueryStats(stat, *inc_query, deadline);
         });
         if (!solved) {
             // A faulted solve may have left the persistent query in

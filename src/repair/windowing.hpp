@@ -24,26 +24,21 @@
 #include "repair/guarded.hpp"
 #include "repair/synthesizer.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/sim_backend.hpp"
 
 namespace rtlrepair::repair {
 
-/** Strategy configuration. */
+/**
+ * Strategy configuration.  The adaptive engine keeps one incremental
+ * RepairQuery across the whole window ladder: window growth encodes
+ * only the delta cycles and UNSAT cores fast-forward the ladder.
+ */
 struct EngineConfig
 {
     bool adaptive = true;       ///< false = basic full unrolling
-    /** Persistent cross-window solver: one RepairQuery lives across
-     *  the whole ladder, window growth encodes only the delta and
-     *  UNSAT cores steer (fast-forward) the ladder.  false =
-     *  fresh-per-window reference (`--no-incremental`). */
-    bool incremental = true;
     size_t max_window = 32;     ///< paper: give up beyond 32 cycles
     size_t past_step = 2;       ///< paper: k_past increments of two
     size_t max_candidates = 4;  ///< paper: next window after 4 failures
     size_t basic_max_candidates = 16;
-    /** Parallel mode: how many window candidates ahead of the ladder
-     *  frontier to solve speculatively (0 = frontier only). */
-    size_t speculation = 2;
     /** Label for stage reports / fault sites ("solve:<label>"). */
     std::string stage_label;
     /** Window-solve retries (reseeded solver, halved window growth)
@@ -52,11 +47,6 @@ struct EngineConfig
     /** RSS watermark in KiB; while the process's current RSS exceeds
      *  it, no further window solves are launched (0 = disabled). */
     size_t max_rss_kb = 0;
-    /** Candidate-validation simulator: Auto/Vec validate multi-
-     *  candidate batches on the 64-lane packed interpreter, Event on
-     *  the scalar one.  Identical results either way; Vec is faster
-     *  when a window yields several candidates. */
-    sim::SimBackend sim_backend = sim::SimBackend::Auto;
 };
 
 /** Per-window-candidate solve statistics (Table 5 / portfolio). */
@@ -69,7 +59,7 @@ struct WindowStat
     double solve_seconds = 0.0;
     size_t aig_nodes = 0;
     /** AIG nodes already present when the window's encode began
-     *  (incremental reuse; 0 for a fresh query). */
+     *  (incremental reuse; 0 for the basic full-unroll query). */
     size_t reused_aig_nodes = 0;
     /** Wall seconds spent encoding this window's delta. */
     double encode_seconds = 0.0;
@@ -81,8 +71,7 @@ struct WindowStat
     /** Learnt-clause database high-water mark of the solve. */
     uint64_t learnt_peak = 0;
     /** Trace cycles replayed validating this window's candidates,
-     *  over the replays up to the first passing one (the same count
-     *  on the scalar and the 64-lane backend). */
+     *  over the replays up to the first passing one. */
     uint64_t replay_cycles = 0;
     /** Seconds left on the governing deadline when the solve returned
      *  (negative = no deadline / unlimited). */
@@ -127,12 +116,9 @@ struct EngineResult
 };
 
 /**
- * Deterministic adaptive-window ladder state (paper §4.4).
- *
- * The serial engine and the parallel portfolio both step this exact
- * state machine, consuming window results in ladder order — so the
- * sequence of windows examined (and therefore the repair found) is
- * identical no matter how many workers race ahead speculatively.
+ * Deterministic adaptive-window ladder state (paper §4.4), stepped by
+ * runEngine() in ladder order.  The window sequence depends only on
+ * the candidates' replay results, never on thread timing.
  */
 struct WindowLadder
 {
@@ -165,17 +151,6 @@ struct WindowLadder
 
     /** Some candidate fails strictly later: include that cycle. */
     void growFuture(size_t latest_failure);
-
-    /** The speculative prediction for the next ladder state: past
-     *  growth, the common transition (both the no-repair-in-window
-     *  and the all-fail-earlier feedback take it). */
-    WindowLadder predictedNext(const EngineConfig &config) const;
-
-    bool
-    operator==(const WindowLadder &o) const
-    {
-        return k_past == o.k_past && k_future == o.k_future;
-    }
 };
 
 /**
@@ -194,8 +169,7 @@ class ConcreteRunner
     /** @p init one fully-known value per state. */
     ConcreteRunner(const ir::TransitionSystem &sys,
                    const trace::IoTrace &resolved,
-                   std::vector<bv::Value> init,
-                   sim::SimBackend backend = sim::SimBackend::Auto);
+                   std::vector<bv::Value> init);
     // The all-off interpreter refers to the runner's own _off.
     ConcreteRunner(const ConcreteRunner &) = delete;
     ConcreteRunner &operator=(const ConcreteRunner &) = delete;
@@ -208,9 +182,7 @@ class ConcreteRunner
      * Replay the assignments in order until one passes, stopping each
      * at its first mismatch.  Result i is identical to
      * run(assignments[i]); the list ends at the first passing
-     * candidate, and results after it are not computed.  The
-     * vectorized backend packs up to 64 candidates per pass, on the
-     * system specialized under the variables all of them agree on.
+     * candidate, and results after it are not computed.
      */
     std::vector<sim::ReplayResult>
     runBatch(const std::vector<templates::SynthAssignment> &assignments);
@@ -231,9 +203,6 @@ class ConcreteRunner
     statesFrom(size_t snapshot_cycle,
                const std::vector<bv::Value> &snapshot, size_t cycle);
 
-    /** Scalar replay: specialize under @p assignment and run it. */
-    sim::ReplayResult runScalar(
-        const templates::SynthAssignment &assignment);
     /** Replay the trace on @p interp from the initial states. */
     sim::ReplayResult replay(sim::Interpreter &interp);
     void applyInputs(sim::Interpreter &interp, size_t cycle);
@@ -241,7 +210,6 @@ class ConcreteRunner
     const ir::TransitionSystem &_sys;
     const trace::IoTrace &_io;
     std::vector<bv::Value> _init;
-    sim::SimBackend _backend;
     /** _sys with every synthesis variable zero (all φ off). */
     ir::TransitionSystem _off;
     sim::Interpreter _off_interp;  ///< runs _off

@@ -1,14 +1,14 @@
 /**
  * @file
- * Minimal JSON value type for the repaird NDJSON wire protocol.
+ * Minimal JSON value type for the repaird NDJSON wire protocol (also
+ * the reader of bench/perf_gate's metrics files).
  *
  * The protocol carries whole Verilog sources and trace CSVs inside
- * JSON strings, so unlike the bench-local reader in perf_gate this
- * implementation round-trips arbitrary bytes: every control
- * character, quote and backslash is escaped on write and unescaped on
- * read (including \uXXXX for the C0 range).  Writing always produces
- * a single line — the NDJSON framing invariant — because the escaper
- * never emits a raw newline.
+ * JSON strings, so this implementation round-trips arbitrary bytes:
+ * every control character, quote and backslash is escaped on write
+ * and unescaped on read (including \uXXXX for the C0 range).
+ * Writing always produces a single line — the NDJSON framing
+ * invariant — because the escaper never emits a raw newline.
  *
  * Parsing is strict enough to reject the malformed framings the
  * fault-injection tests throw at the daemon (truncated objects,

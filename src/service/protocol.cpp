@@ -69,7 +69,6 @@ parseSubmit(const Json &msg, JobRequest &out, std::string &error)
     out.timeout_seconds = msg.num("timeout", 0.0);
     out.jobs = static_cast<unsigned>(msg.num("jobs", 1));
     out.zero_x = msg.flag("zero_x", false);
-    out.incremental = msg.flag("incremental", true);
     out.want_stages = msg.flag("report", false);
     if (out.design.empty()) {
         error = "submit without design source";
@@ -103,8 +102,6 @@ submitLine(const JobRequest &req)
         msg.set("jobs", Json::number(double(req.jobs)));
     if (req.zero_x)
         msg.set("zero_x", Json::boolean(true));
-    if (!req.incremental)
-        msg.set("incremental", Json::boolean(false));
     if (req.want_stages)
         msg.set("report", Json::boolean(true));
     return line(msg);

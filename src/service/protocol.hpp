@@ -12,7 +12,7 @@
  *
  * Request types:
  *   submit   {id?, tenant?, priority?, design, trace, timeout?,
- *             jobs?, zero_x?, incremental?, report?}
+ *             jobs?, zero_x?, report?}
  *   cancel   {id}
  *   query    {id}           — state of a queued/running/recent job
  *   recover  {}             — jobs interrupted by a daemon crash
@@ -29,6 +29,10 @@
  *                retries?, diagnostic?}
  *   result      {id, status, exit_code, changes, template, seconds,
  *                cache, degraded, cancelled, detail, repaired?}
+ *   job         {id, state:"active", cancelled?} — query reply for a
+ *               queued or running job; `cancelled: true` once its
+ *               cancel token has tripped (cancel request, client
+ *               disconnect, shutdown)
  *   error       {message, id?}   — protocol-level failure (bad JSON,
  *               unknown type, injected decode fault); the connection
  *               survives
@@ -78,7 +82,6 @@ struct JobRequest
     double timeout_seconds = 0.0;  ///< 0 = server default
     unsigned jobs = 1;    ///< worker threads inside the repair
     bool zero_x = false;
-    bool incremental = true;
     bool want_stages = false;  ///< stream per-stage reports
 };
 

@@ -271,21 +271,25 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
         send(conn, reply.dump() + "\n");
     } else if (*type == "query") {
         std::string id = msg.str("id");
-        bool active = false;
+        std::shared_ptr<Job> job;
         std::string recent;
         {
             std::lock_guard<std::mutex> lock(_mutex);
-            active = _active.count(id) > 0;
-            if (!active) {
+            auto it = _active.find(id);
+            if (it != _active.end()) {
+                job = it->second;
+            } else {
                 for (const auto &[rid, result] : _recent)
                     if (rid == id)
                         recent = result;
             }
         }
-        if (active) {
+        if (job) {
             Json reply = responseEnvelope("job");
             reply.set("id", Json::string(id));
             reply.set("state", Json::string("active"));
+            if (job->cancel.cancelled())
+                reply.set("cancelled", Json::boolean(true));
             send(conn, reply.dump() + "\n");
         } else if (!recent.empty()) {
             send(conn, recent);  // idempotent result replay
@@ -491,7 +495,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
             config.timeout_seconds = _config.max_job_seconds;
         config.x_policy = req.zero_x ? sim::XPolicy::Zero
                                      : sim::XPolicy::Random;
-        config.engine.incremental = req.incremental;
         config.jobs = req.jobs == 0 ? 1 : req.jobs;
         if (config.jobs > _config.max_job_threads)
             config.jobs = _config.max_job_threads;

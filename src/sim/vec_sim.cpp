@@ -1228,11 +1228,13 @@ VecInterpreter::VecInterpreter(const ir::TransitionSystem &sys,
     _node_vals.resize(_sys.nodes.size());
     _state_vals.resize(_sys.states.size());
     _input_vals.resize(_sys.inputs.size());
-    _synth_vals.resize(_sys.synth_vars.size());
     for (size_t i = 0; i < _sys.inputs.size(); ++i)
         _input_vals[i] = PackedValue::allX(_sys.inputs[i].width);
-    for (size_t i = 0; i < _sys.synth_vars.size(); ++i)
-        _synth_vals[i] = PackedValue::zeros(_sys.synth_vars[i].width);
+    for (const auto &node : _sys.nodes) {
+        check(node.kind != ir::NodeKind::SynthVar,
+              "VecInterpreter: specialize synthesis variables away "
+              "first");
+    }
     reset();
 }
 
@@ -1263,17 +1265,6 @@ VecInterpreter::setInputAll(size_t index, const Value &value)
 }
 
 void
-VecInterpreter::setSynthVar(size_t index, uint32_t lane,
-                            const Value &value)
-{
-    check(index < _synth_vals.size(), "synth var index out of range");
-    check(value.width() == _sys.synth_vars[index].width,
-          "synth var width mismatch");
-    _synth_vals[index].setLane(lane, value);
-    _cycle_valid = false;
-}
-
-void
 VecInterpreter::setStateAll(size_t index, const Value &value)
 {
     check(index < _state_vals.size(), "state index out of range");
@@ -1298,9 +1289,6 @@ VecInterpreter::evalCycle()
             break;
           case NodeKind::Input:
             _node_vals[ref] = _input_vals[n.index];
-            break;
-          case NodeKind::SynthVar:
-            _node_vals[ref] = _synth_vals[n.index];
             break;
           case NodeKind::State:
             _node_vals[ref] = _state_vals[n.index];

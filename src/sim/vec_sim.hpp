@@ -15,9 +15,10 @@
  *    cutoff are decided per lane exactly as 64 scalar simulators
  *    would decide them.
  *
- *  - VecInterpreter mirrors the IR Interpreter for ConcreteRunner
- *    batch candidate validation: one forward sweep over the
- *    transition system evaluates 64 candidate repairs at once.
+ *  - VecInterpreter mirrors the IR Interpreter: one forward sweep
+ *    over a transition system without synthesis variables (a
+ *    design, or a repair specialized by ir::specialize) advances 64
+ *    runs at once.
  *
  * The equivalence contract: lane L of any vectorized run is bit-exact
  * with an independent scalar run of lane L's stimulus (enforced by
@@ -201,7 +202,8 @@ std::vector<trace::IoTrace> recordTraceBatch(
     const std::vector<const trace::InputSequence *> &stims);
 /** @} */
 
-/** Packed-plane interpreter: 64 transition-system runs at once. */
+/** Packed-plane interpreter: 64 transition-system runs at once.
+ *  @p sys must hold no SynthVar node (checked on construction). */
 class VecInterpreter
 {
   public:
@@ -213,9 +215,6 @@ class VecInterpreter
 
     /** Same value in every lane (batch runs share the stimulus). */
     void setInputAll(size_t index, const bv::Value &value);
-    /** Per-lane synthesis-variable binding. */
-    void setSynthVar(size_t index, uint32_t lane,
-                     const bv::Value &value);
     /** Same state seed in every lane. */
     void setStateAll(size_t index, const bv::Value &value);
 
@@ -233,7 +232,6 @@ class VecInterpreter
     std::vector<bv::PackedValue> _node_vals;
     std::vector<bv::PackedValue> _state_vals;
     std::vector<bv::PackedValue> _input_vals;
-    std::vector<bv::PackedValue> _synth_vals;
     bool _cycle_valid = false;
 };
 

@@ -12,12 +12,12 @@
  *  - Spans are RAII objects backed by a thread-safe ring buffer;
  *    nesting is tracked per thread, and a parent span id can be
  *    carried across the thread pool's task boundary with SpanParent,
- *    so a window solve running on a pool worker still hangs under its
- *    template task in the flame graph.
+ *    so a template task running on a pool worker still hangs under
+ *    the repair span that scheduled it in the flame graph.
  *  - Counters declare whether they are Deterministic (identical for
  *    jobs=1 and jobs=N, because they are only bumped on the
  *    portfolio's deterministic consume/fold paths) or Unstable
- *    (wall-clock durations, speculative work, steal counts).  The
+ *    (wall-clock durations, cancelled work, steal counts).  The
  *    exporters keep the two groups apart so CI can gate on the
  *    deterministic ones.
  *
@@ -55,8 +55,8 @@ uint32_t threadId();
  * Stability class of a metric: Deterministic values are identical for
  * jobs=1 and jobs=N on the same input (bumped only on the portfolio's
  * deterministic consume/fold paths); Unstable values depend on
- * wall-clock time or scheduling (durations, speculative solves, work
- * stealing).
+ * wall-clock time or scheduling (durations, work in cancelled template
+ * tasks, work stealing).
  */
 enum class MetricKind { Deterministic, Unstable };
 

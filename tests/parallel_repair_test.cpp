@@ -85,7 +85,11 @@ TEST(ParallelDeterminism, FlopW1) { expectDeterministic("flop_w1"); }
 
 TEST(ParallelDeterminism, ShiftW2) { expectDeterministic("shift_w2"); }
 
+TEST(ParallelDeterminism, MuxW1) { expectDeterministic("mux_w1"); }
+
 TEST(ParallelDeterminism, MuxW2) { expectDeterministic("mux_w2"); }
+
+TEST(ParallelDeterminism, FsmW1) { expectDeterministic("fsm_w1"); }
 
 TEST(ParallelDeterminism, FsmS2) { expectDeterministic("fsm_s2"); }
 

@@ -578,8 +578,9 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
 
     // dc-a is held on the only worker, so dc-b is still queued when
     // the connection closes.  The server notices the close on its own
-    // reader thread, which nothing here can observe; the release waits
-    // 100 ms for it, and dc-a then still runs before dc-b is taken.
+    // reader thread; the hold is released only once a query shows
+    // dc-b's cancel token tripped, so dc-b is cancelled before the
+    // worker can take it.
     FaultInjector::instance().holdAt("service:dispatch");
     {
         RawClient doomed(fx.socket_path);
@@ -589,13 +590,23 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
             submitFor("dc-b", kBuggyCounter, kCounterTrace)));
         ASSERT_TRUE(doomed.await("accepted", "dc-b").isObject());
     }  // connection closes with dc-b queued
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    RawClient observer(fx.socket_path);
+    ASSERT_TRUE(observer.ok());
+    bool noticed = false;
+    for (int tries = 0; tries < 1000 && !noticed; ++tries) {
+        ASSERT_TRUE(observer.sendMsg("query", "dc-b"));
+        Json state = observer.await("job", "dc-b");
+        ASSERT_TRUE(state.isObject());
+        EXPECT_EQ(state.str("state"), "active");
+        noticed = state.flag("cancelled");
+        if (!noticed)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(noticed) << "no query reported dc-b cancelled";
     FaultInjector::instance().reset();
 
     // The orphaned queued job must finish as cancelled (visible via
     // the recent-results ring), not burn the worker.
-    RawClient observer(fx.socket_path);
-    ASSERT_TRUE(observer.ok());
     Json replay;
     for (int tries = 0; tries < 100; ++tries) {
         ASSERT_TRUE(observer.sendMsg("query", "dc-b"));

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 
 #include "benchmarks/registry.hpp"
 #include "elaborate/elaborate.hpp"
@@ -175,8 +174,7 @@ TEST(Specialize, ReplayMatchesUnspecializedOnRegistry)
     for (const auto &inst : registrySystems()) {
         const ir::TransitionSystem &sys = inst.sys;
         const trace::IoTrace &io = registryTrace(inst.label);
-        repair::ConcreteRunner runner(sys, io, resetStates(sys),
-                                      sim::SimBackend::Event);
+        repair::ConcreteRunner runner(sys, io, resetStates(sys));
         std::vector<std::pair<std::string, SynthAssignment>> cases;
         cases.push_back({"all-off", SynthAssignment{}});
         cases.push_back({"zeros", constantAssignment(sys, false)});
@@ -194,44 +192,6 @@ TEST(Specialize, ReplayMatchesUnspecializedOnRegistry)
         for (const auto &[what, a] : cases) {
             expectSameReplay(runner.run(a), referenceReplay(sys, a, io),
                              inst.label + " " + what);
-        }
-    }
-}
-
-TEST(Specialize, VecBatchMatchesLaneForLane)
-{
-    Rng rng(7);
-    for (const auto &inst : registrySystems()) {
-        const ir::TransitionSystem &sys = inst.sys;
-        const trace::IoTrace &io = registryTrace(inst.label);
-        // Mixed batch: the φ that differ stay per-lane, the variables
-        // every lane agrees on (most α) fold away.
-        std::vector<SynthAssignment> batch;
-        batch.push_back(constantAssignment(sys, false));
-        for (size_t i = 0; i < sys.synth_vars.size() && batch.size() < 6;
-             ++i) {
-            if (sys.synth_vars[i].is_phi)
-                batch.push_back(singlePhi(sys, i));
-        }
-        batch.push_back(randomAssignment(sys, rng));
-        repair::ConcreteRunner vec(sys, io, resetStates(sys),
-                                   sim::SimBackend::Vec);
-        std::vector<sim::ReplayResult> lanes = vec.runBatch(batch);
-        ASSERT_FALSE(lanes.empty()) << inst.label;
-        for (size_t l = 0; l < batch.size(); ++l) {
-            sim::ReplayResult want = referenceReplay(sys, batch[l], io);
-            if (l >= lanes.size()) {
-                ADD_FAILURE() << inst.label << ": batch ended early";
-                break;
-            }
-            expectSameReplay(lanes[l], want,
-                             inst.label + " lane " + std::to_string(l));
-            if (want.passed) {
-                // Results after the first passing lane are not
-                // computed.
-                EXPECT_EQ(lanes.size(), l + 1) << inst.label;
-                break;
-            }
         }
     }
 }
@@ -255,15 +215,13 @@ TEST(Specialize, BatchStopsAtFirstPass)
     batch[1].values["s"] = Value::ones(1);
     batch[2].values["s"] = Value::zeros(1);
     batch[3].values["s"] = Value::ones(1);
-    for (auto backend : {sim::SimBackend::Event, sim::SimBackend::Vec}) {
-        repair::ConcreteRunner runner(sys, io, {}, backend);
-        std::vector<sim::ReplayResult> out = runner.runBatch(batch);
-        ASSERT_EQ(out.size(), 2u) << sim::simBackendName(backend);
-        EXPECT_FALSE(out[0].passed);
-        EXPECT_EQ(out[0].first_failure, 0u);
-        EXPECT_TRUE(out[1].passed);
-        EXPECT_EQ(out[1].first_failure, 4u);
-    }
+    repair::ConcreteRunner runner(sys, io, {});
+    std::vector<sim::ReplayResult> out = runner.runBatch(batch);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_FALSE(out[0].passed);
+    EXPECT_EQ(out[0].first_failure, 0u);
+    EXPECT_TRUE(out[1].passed);
+    EXPECT_EQ(out[1].first_failure, 4u);
 }
 
 /** Evaluate output 0 of @p sys for one cycle. */
@@ -371,7 +329,8 @@ TEST(Specialize, KeepsIndicesAndDropsNames)
     b.nameSignal("r_sig", r);
     ir::TransitionSystem sys = b.finish();
 
-    ir::TransitionSystem spec = ir::specialize(sys, {std::nullopt});
+    // On: the register loads a every cycle.
+    ir::TransitionSystem spec = ir::specialize(sys, {Value::ones(1)});
     spec.typeCheck();
     ASSERT_EQ(spec.states.size(), 1u);
     ASSERT_EQ(spec.inputs.size(), 1u);
@@ -381,7 +340,8 @@ TEST(Specialize, KeepsIndicesAndDropsNames)
     EXPECT_TRUE(spec.states[0].name.empty());
     EXPECT_EQ(spec.states[0].init, Value::fromUint(8, 3));
     EXPECT_TRUE(spec.synth_vars[0].is_phi);
-    EXPECT_NE(spec.synth_vars[0].ref, ir::kNullRef);
+    EXPECT_EQ(spec.synth_vars[0].ref, ir::kNullRef);
+    EXPECT_EQ(spec.states[0].next, spec.inputs[0].ref);
 
     // Off: the register never loads, so input a is dead.
     ir::TransitionSystem off = ir::specialize(sys, {Value::zeros(1)});
@@ -407,9 +367,9 @@ TEST(Specialize, AddGuardAllOffShrinksToDesignSize)
         opts.synth_vars = inst.vars.specs();
         ir::TransitionSystem sys =
             elaborate::elaborate(*inst.instrumented, opts);
-        std::vector<std::optional<Value>> off;
+        std::vector<Value> off;
         for (const auto &v : sys.synth_vars)
-            off.emplace_back(Value::zeros(v.width));
+            off.push_back(Value::zeros(v.width));
         ir::TransitionSystem spec = ir::specialize(sys, off);
         spec.typeCheck();
         EXPECT_LE(spec.nodes.size(), 2 * base.nodes.size())

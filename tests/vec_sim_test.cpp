@@ -20,8 +20,10 @@
 #include "bv/packed_value.hpp"
 #include "elaborate/elaborate.hpp"
 #include "fuzz/generator.hpp"
+#include "ir/builder.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/vec_sim.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "verilog/parser.hpp"
 
@@ -425,6 +427,16 @@ endmodule
         scalar.step();
         vec.step();
     }
+}
+
+TEST(VecInterpreter, RejectsSynthesisVariables)
+{
+    // The packed interpreter has no synthesis-variable inputs: a
+    // repair must be specialized (ir::specialize) before it runs.
+    ir::Builder b("synth");
+    b.addOutput("o", b.synthVar("s", 1, true));
+    ir::TransitionSystem sys = b.finish();
+    EXPECT_THROW(sim::VecInterpreter(sys, 64), PanicError);
 }
 
 // Lane-for-lane equivalence on the extended synthesizable subset:
