@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "repair/parallel.hpp"
-#include "repair/patcher.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -82,8 +81,8 @@ repairDesign(const verilog::Module &buggy,
         outcome.cancelled = deadline.cancelled();
         outcome.seconds = watch.seconds();
         // Telemetry folds happen over the *final* outcome, not at
-        // consume time inside the engines: a template the portfolio
-        // cancels mid-run consumes windows the serial cascade never
+        // consume time inside the engines: at jobs>1 a template the
+        // portfolio cancels mid-run consumes windows the fold never
         // visits, while the folded candidate/stage lists are identical
         // for jobs=1 and jobs=N.
         foldStageCounters(outcome.stages);
@@ -234,209 +233,11 @@ repairDesign(const verilog::Module &buggy,
                                        : RepairOutcome::Status::NoRepair);
     }
 
-    // 5. Template cascade.  With more than one worker, the cascade
-    // runs as a parallel portfolio: every (template × window)
-    // candidate is an independent solve, raced with first-success
-    // cancellation and folded back in deterministic serial order.
-    if (unsigned jobs = resolveJobs(config.jobs); jobs > 1) {
-        PortfolioOutcome port =
-            runPortfolio(*pre.module, library, resolved, init, config,
-                         deadline, jobs);
-        outcome.detail += port.detail;
-        outcome.candidates = std::move(port.candidates);
-        outcome.stages.insert(outcome.stages.end(),
-                              port.stages.begin(), port.stages.end());
-        outcome.degraded = outcome.degraded || port.degraded;
-        if (port.best) {
-            outcome.repaired = std::move(port.best->repaired);
-            outcome.changes = port.best->changes;
-            outcome.template_name = port.best->template_name;
-            outcome.window_past = port.best->window_past;
-            outcome.window_future = port.best->window_future;
-            return finish(RepairOutcome::Status::Repaired);
-        }
-        if (port.timed_out)
-            return finish(RepairOutcome::Status::Timeout);
-        return finish(outcome.degraded
-                          ? RepairOutcome::Status::Degraded
-                          : RepairOutcome::Status::NoRepair);
-    }
-    struct Best
-    {
-        std::unique_ptr<verilog::Module> repaired;
-        int changes = 0;
-        std::string template_name;
-        int window_past = 0;
-        int window_future = 0;
-    };
-    std::optional<Best> best;
-    bool timed_out = false;
-
-    auto cascade = templates::standardTemplates();
-    // Stages still ahead of the cascade, for time-slice accounting.
-    size_t templates_left = 0;
-    for (const auto &tmpl : cascade) {
-        if (config.only_template.empty() ||
-            tmpl->name() == config.only_template) {
-            ++templates_left;
-        }
-    }
-
-    for (auto &tmpl : cascade) {
-        if (!config.only_template.empty() &&
-            tmpl->name() != config.only_template) {
-            continue;
-        }
-        if (deadline.expired()) {
-            timed_out = true;
-            break;
-        }
-        const std::string name = tmpl->name();
-        const double slice = stageSlice(deadline.remaining(),
-                                        templates_left, config.guard);
-        --templates_left;
-
-        if (memoryWatermarkExceeded(config.guard)) {
-            StageGuard guard("template:" + name, outcome.stages);
-            guard.skip("RSS watermark exceeded");
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: skipped, RSS watermark exceeded\n",
-                name.c_str());
-            continue;
-        }
-
-        // Each template gets a slice of the remaining global budget,
-        // so one pathological template cannot starve its siblings.
-        Deadline tmpl_deadline(&deadline, nullptr, slice);
-
-        templates::TemplateResult inst;
-        {
-            StageGuard guard("template:" + name, outcome.stages);
-            if (!guard.run(
-                    [&] { inst = tmpl->apply(*pre.module, library); })) {
-                outcome.degraded = true;
-                outcome.detail += format(
-                    "template %s: instrumentation dropped (%s)\n",
-                    name.c_str(), guard.report().diagnostic.c_str());
-                continue;
-            }
-        }
-        if (inst.vars.empty())
-            continue;  // template found no change sites
-
-        elaborate::ElaborateOptions opts;
-        opts.library = library;
-        opts.synth_vars = inst.vars.specs();
-        ir::TransitionSystem sys;
-        {
-            StageGuard guard("elaborate:" + name, outcome.stages);
-            if (!guard.run([&] {
-                    sys = elaborate::elaborate(*inst.instrumented,
-                                               opts);
-                })) {
-                const StageReport &r = guard.report();
-                if (r.user_error) {
-                    // The instrumented design can legitimately fail to
-                    // elaborate; skipping it is the normal cascade
-                    // behaviour, not a degradation.
-                    outcome.detail += format(
-                        "template %s: instrumented design not "
-                        "synthesizable (%s)\n",
-                        name.c_str(), r.diagnostic.c_str());
-                } else {
-                    outcome.degraded = true;
-                    outcome.detail += format(
-                        "template %s: elaboration dropped (%s)\n",
-                        name.c_str(), r.diagnostic.c_str());
-                }
-                continue;
-            }
-        }
-
-        EngineConfig engine_cfg = config.engine;
-        engine_cfg.stage_label = name;
-        engine_cfg.solve_retries = config.guard.solve_retries;
-        engine_cfg.max_rss_kb = config.guard.max_rss_mb * 1024;
-
-        EngineResult engine;
-        // The engine guards each window solve itself; the wrapper only
-        // reports when a fault escapes those inner guards (e.g. out of
-        // memory while replaying candidates).
-        StageGuard guard("engine:" + name, outcome.stages,
-                         StageGuard::Recording::OnFault);
-        bool ran = guard.run([&] {
-            engine = runEngine(sys, inst.vars, resolved, init,
-                               engine_cfg, &tmpl_deadline);
-        });
-        outcome.stages.insert(outcome.stages.end(),
-                              engine.stages.begin(),
-                              engine.stages.end());
-        for (const auto &w : engine.windows)
-            outcome.candidates.push_back({name, w});
-        if (!ran) {
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: engine dropped (%s)\n", name.c_str(),
-                guard.report().diagnostic.c_str());
-            continue;
-        }
-        switch (engine.status) {
-          case EngineResult::Status::Timeout:
-            if (deadline.expired()) {
-                timed_out = true;
-                outcome.detail +=
-                    format("template %s: timeout\n", name.c_str());
-            } else {
-                // The slice ran out but the global budget did not:
-                // drop this template and let the siblings use the
-                // reclaimed time.
-                outcome.degraded = true;
-                outcome.detail += format(
-                    "template %s: stage budget exhausted, dropped\n",
-                    name.c_str());
-            }
-            continue;
-          case EngineResult::Status::Failed:
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: dropped after contained fault (%s)\n",
-                name.c_str(), engine.error.c_str());
-            continue;
-          case EngineResult::Status::NoRepair:
-            outcome.detail += format("template %s: no repair found\n",
-                                     name.c_str());
-            continue;
-          case EngineResult::Status::Repaired:
-            break;
-        }
-
-        auto repaired =
-            patch(*inst.instrumented, inst.vars, engine.assignment);
-        if (!best || engine.changes < best->changes) {
-            best = Best{std::move(repaired), engine.changes, name,
-                        engine.window_past, engine.window_future};
-        }
-        if (engine.changes <= config.change_threshold)
-            break;  // small enough: stop the cascade (paper Fig. 3)
-        outcome.detail += format(
-            "template %s: repair with %d changes exceeds threshold, "
-            "trying further templates\n",
-            name.c_str(), engine.changes);
-    }
-
-    if (best) {
-        outcome.repaired = std::move(best->repaired);
-        outcome.changes = best->changes;
-        outcome.template_name = best->template_name;
-        outcome.window_past = best->window_past;
-        outcome.window_future = best->window_future;
-        return finish(RepairOutcome::Status::Repaired);
-    }
-    if (timed_out)
-        return finish(RepairOutcome::Status::Timeout);
-    return finish(outcome.degraded ? RepairOutcome::Status::Degraded
-                                   : RepairOutcome::Status::NoRepair);
+    // 5. Template cascade (paper Fig. 3) on resolveJobs(config.jobs)
+    // threads; jobs=1 runs the templates in order on this thread.
+    return finish(runPortfolio(*pre.module, library, resolved, init,
+                               config, deadline,
+                               resolveJobs(config.jobs), outcome));
 }
 
 } // namespace rtlrepair::repair

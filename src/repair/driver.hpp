@@ -66,12 +66,13 @@ struct RepairConfig
     /** Skip templates entirely (preprocessing-only runs). */
     bool preprocess_only = false;
     /**
-     * Worker threads for the repair portfolio.  1 runs today's exact
-     * serial cascade; N > 1 solves (template × window) candidates
-     * concurrently with first-success-wins cancellation; 0 (default)
-     * resolves via the RTLREPAIR_JOBS environment variable, falling
-     * back to std::thread::hardware_concurrency().  Results are
-     * deterministic and identical across all values.
+     * Threads for the template cascade, the calling thread included.
+     * 1 starts no worker and runs the templates in order on the
+     * caller; N > 1 runs up to N templates at once with
+     * first-success-wins cancellation; 0 (default) resolves via the
+     * RTLREPAIR_JOBS environment variable, falling back to
+     * std::thread::hardware_concurrency().  Results are deterministic
+     * and identical across all values.
      */
     unsigned jobs = 0;
     /** Fault-containment policy: stage time slices, the peak-memory
@@ -126,7 +127,7 @@ struct RepairOutcome
     int window_future = 0;
     std::string detail;  ///< human-readable notes / failure reason
     /** Solve statistics for every candidate examined, in template
-     *  order (identical between serial and parallel runs). */
+     *  order (identical for every job count). */
     std::vector<RepairCandidateStat> candidates;
     /** Structured per-stage execution record (guards, budgets,
      *  contained faults), in pipeline order. */

@@ -65,8 +65,8 @@ std::string formatStageReports(const std::vector<StageReport> &reports);
  * Fold a run's final stage-report list into the dynamic telemetry
  * counter families "stage.<name>.runs" (deterministic),
  * "stage.<name>.us" and "stage.<name>.not_ok".  The driver calls this
- * once per repair over the folded outcome, so serial and parallel
- * runs aggregate the exact same stage totals (the per-task reports
+ * once per repair over the folded outcome, so runs at every job
+ * count aggregate the exact same stage totals (the per-task reports
  * are merged before the fold).
  */
 void foldStageCounters(const std::vector<StageReport> &reports);

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "repair/patcher.hpp"
+#include "util/fault.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
@@ -55,39 +56,35 @@ struct TemplateSlot
     };
 
     std::string name;
+    /** Templates from this one to the end of the cascade: the share
+     *  of the remaining budget the task's time slice is carved for. */
+    size_t stages_left = 0;
+    /** First-success cancellation, tripped by a winning template. */
     CancelToken cancel;
-    const Deadline *global;  ///< the run's global deadline
-    Deadline deadline;  ///< derived: global + cancel token + slice
     std::future<void> done;
-    std::atomic<bool> finished{false};
-    /** Telemetry: when the scheduler first cancelled this slot
-     *  (scheduler thread only). */
-    uint64_t cancel_us = 0;
-    /** Telemetry: when the task body returned; written by the task
-     *  thread before the `finished` release store. */
+    /** Scheduler thread only: the future has been collected. */
+    bool reaped = false;
+    /** Telemetry: when a winning template first cancelled this slot
+     *  (written by the winner's thread). */
+    std::atomic<uint64_t> cancel_us{0};
+    /** Telemetry: when the task body returned. */
     uint64_t finish_us = 0;
 
-    // Written by the task thread before `finished`, read after.
+    // Written by the task thread before `done` is ready, read after.
     Outcome outcome = Outcome::Skipped;
     std::unique_ptr<verilog::Module> repaired;
     int changes = 0;
     int window_past = 0;
     int window_future = 0;
-    std::vector<WindowStat> windows;
+    std::vector<RepairCandidateStat> candidates;
     std::vector<StageReport> stages;
     std::string note;
-
-    TemplateSlot(std::string n, const Deadline &global_deadline,
-                 double slice)
-        : name(std::move(n)), global(&global_deadline),
-          deadline(&global_deadline, &cancel, slice)
-    {
-    }
 };
 
 /** Template-task body; Outcome/note/etc. are written into @p s. */
 void
 runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
+                const Deadline &global,
                 const verilog::Module &preprocessed,
                 const std::vector<const verilog::Module *> &library,
                 const trace::IoTrace &resolved,
@@ -95,8 +92,14 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
                 const RepairConfig &config)
 {
     using Outcome = TemplateSlot::Outcome;
-    if (s.deadline.cancelled()) {
+    if (s.cancel.cancelled()) {
         s.outcome = Outcome::Cancelled;
+        return;
+    }
+    // Out of global time, or cancelled by the caller, which counts as
+    // the same (RepairConfig::cancel): do not even instrument.
+    if (global.expired()) {
+        s.outcome = Outcome::Timeout;
         return;
     }
     if (memoryWatermarkExceeded(config.guard)) {
@@ -108,6 +111,11 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
             s.name.c_str());
         return;
     }
+    // Each template gets a slice of the budget left when it starts,
+    // so one pathological template cannot starve the ones after it.
+    Deadline deadline(&global, &s.cancel,
+                      stageSlice(global.remaining(), s.stages_left,
+                                 config.guard));
     templates::TemplateResult inst;
     {
         StageGuard guard("template:" + s.name, s.stages);
@@ -154,19 +162,21 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
     }
     EngineConfig engine_cfg = config.engine;
     engine_cfg.stage_label = s.name;
-    engine_cfg.solve_retries = config.guard.solve_retries;
-    engine_cfg.max_rss_kb = config.guard.max_rss_mb * 1024;
 
     EngineResult engine;
+    // The engine guards each window solve itself; the wrapper only
+    // reports when a fault escapes those inner guards (e.g. out of
+    // memory while replaying candidates).
     StageGuard guard("engine:" + s.name, s.stages,
                      StageGuard::Recording::OnFault);
     bool ran = guard.run([&] {
         engine = runEngine(sys, inst.vars, resolved, init, engine_cfg,
-                           &s.deadline);
+                           config.guard, &deadline);
     });
     s.stages.insert(s.stages.end(), engine.stages.begin(),
                     engine.stages.end());
-    s.windows = std::move(engine.windows);
+    for (const auto &w : engine.windows)
+        s.candidates.push_back({s.name, w});
     if (!ran) {
         s.outcome = Outcome::Failed;
         s.note = format("template %s: engine dropped (%s)\n",
@@ -176,14 +186,14 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
     }
     switch (engine.status) {
       case EngineResult::Status::Timeout:
-        if (s.deadline.cancelled()) {
+        if (s.cancel.cancelled()) {
             s.outcome = Outcome::Cancelled;
-        } else if (s.global && s.global->expired()) {
+        } else if (global.expired()) {
             s.outcome = Outcome::Timeout;
             s.note = format("template %s: timeout\n", s.name.c_str());
         } else {
             // The slice ran out but the global budget did not: drop
-            // this template, siblings reclaim the time.
+            // this template, the ones after it reclaim the time.
             s.outcome = Outcome::Failed;
             s.note = format(
                 "template %s: stage budget exhausted, dropped\n",
@@ -202,64 +212,95 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
                         s.name.c_str());
         return;
       case EngineResult::Status::Repaired:
-        s.outcome = Outcome::Repaired;
         s.repaired =
             patch(*inst.instrumented, inst.vars, engine.assignment);
         s.changes = engine.changes;
         s.window_past = engine.window_past;
         s.window_future = engine.window_future;
+        s.outcome = Outcome::Repaired;
         return;
+    }
+}
+
+/**
+ * Collect a finished task's future.  A task whose exception escaped
+ * its internal stage guards (captured by the pool's packaged_task)
+ * becomes a Failed slot: it degrades the run but can never poison
+ * its siblings, whose futures are collected independently.
+ */
+void
+reap(TemplateSlot &s)
+{
+    auto fault = [&](const std::string &what) {
+        StageReport report;
+        report.stage = "task:" + s.name;
+        report.status = StageStatus::Failed;
+        report.diagnostic = what;
+        std::optional<size_t> rss = peakRssKb();
+        report.rss_known = rss.has_value();
+        report.peak_rss_kb = rss.value_or(0);
+        s.stages.push_back(report);
+        s.outcome = TemplateSlot::Outcome::Failed;
+        s.note = format("template %s: task faulted (%s)\n",
+                        s.name.c_str(), what.c_str());
+    };
+    s.reaped = true;
+    try {
+        s.done.get();
+    } catch (const FatalError &e) {
+        fault(format("fatal: %s", e.what()));
+    } catch (const PanicError &e) {
+        fault(format("panic: %s", e.what()));
+    } catch (const std::bad_alloc &) {
+        fault("out of memory");
+    } catch (const std::exception &e) {
+        fault(e.what());
+    }
+    // Cancel latency: from the first cancel() to the task body's
+    // return (a slot already finished when cancelled contributes
+    // nothing).
+    uint64_t cancel_us = s.cancel_us.load();
+    if (cancel_us && s.finish_us > cancel_us) {
+        s_cancelled.add(1);
+        s_cancel_latency.record(s.finish_us - cancel_us);
     }
 }
 
 } // namespace
 
-PortfolioOutcome
+RepairOutcome::Status
 runPortfolio(const verilog::Module &preprocessed,
              const std::vector<const verilog::Module *> &library,
              const trace::IoTrace &resolved,
              const std::vector<Value> &init,
              const RepairConfig &config, const Deadline &deadline,
-             unsigned jobs)
+             unsigned jobs, RepairOutcome &outcome)
 {
-    PortfolioOutcome out;
+    std::vector<std::shared_ptr<templates::RepairTemplate>> cascade;
+    for (auto &tmpl : templates::standardTemplates()) {
+        if (config.only_template.empty() ||
+            tmpl->name() == config.only_template) {
+            cascade.push_back(std::move(tmpl));
+        }
+    }
 
     // Slots are declared before the pool: the pool's destructor joins
     // the workers while every slot (and its cancel token) is alive.
-    std::vector<std::unique_ptr<TemplateSlot>> slots;
-    ThreadPool pool(jobs);
-
-    auto cascade = templates::standardTemplates();
-    size_t selected = 0;
-    for (const auto &tmpl : cascade) {
-        if (config.only_template.empty() ||
-            tmpl->name() == config.only_template) {
-            ++selected;
-        }
-    }
-    // The templates run concurrently, so every slot is sliced off the
-    // same remaining budget (the serial cascade recomputes per stage).
-    const double slice =
-        stageSlice(deadline.remaining(), selected, config.guard);
-
-    for (auto &tmpl : cascade) {
-        if (!config.only_template.empty() &&
-            tmpl->name() != config.only_template) {
-            continue;
-        }
-        auto slot = std::make_unique<TemplateSlot>(tmpl->name(),
-                                                   deadline, slice);
-        TemplateSlot *s = slot.get();
-        auto shared_tmpl =
-            std::shared_ptr<templates::RepairTemplate>(
-                std::move(tmpl));
+    std::vector<TemplateSlot> slots(cascade.size());
+    // The calling thread helps run the tasks, so it is the last of
+    // the `jobs` threads.  At jobs=1 no worker starts and the caller
+    // runs the templates one after another, in cascade order.
+    ThreadPool pool(jobs > 1 ? jobs - 1 : 0);
+    for (size_t i = 0; i < cascade.size(); ++i) {
+        TemplateSlot *s = &slots[i];
+        s->name = cascade[i]->name();
+        s->stages_left = cascade.size() - i;
         uint64_t span_parent = telemetry::Span::currentId();
-        slot->done = pool.submit([s, shared_tmpl, &preprocessed,
-                                  &library, &resolved, &init, &config,
-                                  span_parent]() {
-            // `finished` is flagged even when the task throws, so the
-            // scheduler loop can never spin forever; the exception
-            // stays in the future and is rethrown by waitCollect.
+        s->done = pool.submit([s, i, &slots, tmpl = cascade[i],
+                               &deadline, &preprocessed, &library,
+                               &resolved, &init, &config,
+                               span_parent]() {
+            // Stamped on every exit, a faulted task's included.
             struct Finish
             {
                 TemplateSlot *slot;
@@ -267,139 +308,121 @@ runPortfolio(const verilog::Module &preprocessed,
                 {
                     if (telemetry::enabled())
                         slot->finish_us = telemetry::nowUs();
-                    slot->finished.store(true,
-                                         std::memory_order_release);
                 }
             } finish{s};
+            const std::string stage = "task:" + s->name;
             telemetry::SpanParent adopt(span_parent);
-            telemetry::Span span("task:" + s->name);
-            runTemplateTask(*s, *shared_tmpl, preprocessed, library,
+            telemetry::Span span(stage);
+            // Outside every stage guard: a fault here reaches reap().
+            faultPoint(stage);
+            runTemplateTask(*s, *tmpl, deadline, preprocessed, library,
                             resolved, init, config);
+            // First-success cancellation.  A repair at or under the
+            // threshold means no later template can change the
+            // outcome (an earlier template either stops the cascade
+            // itself or loses to this smaller repair), so every later
+            // template is cancelled at once, from this thread: the
+            // scheduler may be busy running a template itself.  The
+            // fold still picks the winner, so a template finishing
+            // first never wins on timing.
+            if (s->outcome != TemplateSlot::Outcome::Repaired ||
+                s->changes > config.change_threshold) {
+                return;
+            }
+            for (size_t j = i + 1; j < slots.size(); ++j) {
+                slots[j].cancel.cancel();
+                if (telemetry::enabled()) {
+                    uint64_t unset = 0;  // keep the first cancel's time
+                    slots[j].cancel_us.compare_exchange_strong(
+                        unset, telemetry::nowUs());
+                }
+            }
         });
-        slots.push_back(std::move(slot));
     }
 
-    // Scheduler loop.  Determinism rule: the winner is whatever the
-    // serial fold (templates in order, fewest changes, stop at the
-    // change threshold) picks — so a template finishing first never
-    // wins on timing.  But once any template i has a repair at or
-    // under the threshold, templates after i can never influence the
-    // outcome (an earlier template either stops the cascade itself or
-    // loses to i's smaller repair), so everything past i is cancelled
-    // immediately — first-success-wins without a determinism leak.
-    auto cancelHorizon = [&]() -> size_t {
-        for (size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i]->finished.load(std::memory_order_acquire) &&
-                slots[i]->outcome == TemplateSlot::Outcome::Repaired &&
-                slots[i]->changes <= config.change_threshold) {
-                return i;
-            }
-        }
-        return slots.size();
-    };
-    while (true) {
-        size_t horizon = cancelHorizon();
-        for (size_t j = horizon + 1; j < slots.size(); ++j) {
-            if (!slots[j]->cancel.cancelled()) {
-                slots[j]->cancel.cancel();
-                if (telemetry::enabled())
-                    slots[j]->cancel_us = telemetry::nowUs();
-            }
-        }
-        bool all_done = true;
-        for (const auto &slot : slots) {
-            if (!slot->finished.load(std::memory_order_acquire)) {
-                all_done = false;
-                break;
-            }
-        }
-        if (all_done)
+    // Fold one finished slot into the outcome, exactly as the paper's
+    // cascade does: templates in order, the fewest changes wins, and
+    // a repair within the change threshold stops the cascade (the
+    // return value).
+    bool timed_out = false;
+    auto fold = [&](TemplateSlot &s) {
+        outcome.stages.insert(outcome.stages.end(),
+                              std::make_move_iterator(s.stages.begin()),
+                              std::make_move_iterator(s.stages.end()));
+        outcome.candidates.insert(
+            outcome.candidates.end(),
+            std::make_move_iterator(s.candidates.begin()),
+            std::make_move_iterator(s.candidates.end()));
+        switch (s.outcome) {
+          case TemplateSlot::Outcome::Skipped:
+          case TemplateSlot::Outcome::Cancelled:
+            return false;
+          case TemplateSlot::Outcome::NotSynth:
+          case TemplateSlot::Outcome::NoRepair:
+            outcome.detail += s.note;
+            return false;
+          case TemplateSlot::Outcome::Failed:
+            outcome.degraded = true;
+            outcome.detail += s.note;
+            return false;
+          case TemplateSlot::Outcome::Timeout:
+            timed_out = true;
+            outcome.detail += s.note;
+            return false;
+          case TemplateSlot::Outcome::Repaired:
             break;
-        if (!pool.help()) {
+        }
+        if (!outcome.repaired || s.changes < outcome.changes) {
+            outcome.repaired = std::move(s.repaired);
+            outcome.changes = s.changes;
+            outcome.template_name = s.name;
+            outcome.window_past = s.window_past;
+            outcome.window_future = s.window_future;
+        }
+        if (s.changes <= config.change_threshold)
+            return true;  // small enough: stop the cascade (Fig. 3)
+        outcome.detail += format(
+            "template %s: repair with %d changes exceeds threshold, "
+            "trying further templates\n",
+            s.name.c_str(), s.changes);
+        return false;
+    };
+
+    // Scheduler loop.  Each slot is folded as soon as it and every
+    // slot before it have finished, and its results are released
+    // right away; slots after the cascade's stopping point are reaped
+    // but never folded.
+    size_t folded = 0;
+    bool stopped = false;
+    while (folded < slots.size()) {
+        for (auto &slot : slots) {
+            if (!slot.reaped &&
+                slot.done.wait_for(std::chrono::seconds(0)) ==
+                    std::future_status::ready) {
+                reap(slot);
+            }
+        }
+        for (; folded < slots.size() && slots[folded].reaped;
+             ++folded) {
+            TemplateSlot &s = slots[folded];
+            if (!stopped)
+                stopped = fold(s);
+            s.repaired.reset();
+            s.stages = {};
+            s.candidates = {};
+        }
+        if (folded < slots.size() && !pool.help()) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(200));
         }
     }
-    // Reap every task.  A task whose exception escaped its internal
-    // stage guards (captured by the pool's packaged_task) is converted
-    // into a Failed slot here — it degrades the run but can never
-    // poison its siblings, whose futures are collected independently.
-    for (auto &slot : slots) {
-        auto reap = [&](const char *what) {
-            StageReport report;
-            report.stage = "task:" + slot->name;
-            report.status = StageStatus::Failed;
-            report.diagnostic = what;
-            std::optional<size_t> rss = peakRssKb();
-            report.rss_known = rss.has_value();
-            report.peak_rss_kb = rss.value_or(0);
-            slot->stages.push_back(report);
-            slot->outcome = TemplateSlot::Outcome::Failed;
-            slot->note = format("template %s: task faulted (%s)\n",
-                                slot->name.c_str(), what);
-        };
-        try {
-            pool.waitCollect(slot->done);
-        } catch (const FatalError &e) {
-            reap(format("fatal: %s", e.what()).c_str());
-        } catch (const PanicError &e) {
-            reap(format("panic: %s", e.what()).c_str());
-        } catch (const std::bad_alloc &) {
-            reap("out of memory");
-        } catch (const std::exception &e) {
-            reap(e.what());
-        }
-        // Cancel latency: from the scheduler's first cancel() to the
-        // task body's return (a slot already finished when cancelled
-        // contributes nothing).
-        if (slot->cancel_us && slot->finish_us > slot->cancel_us) {
-            s_cancelled.add(1);
-            s_cancel_latency.record(slot->finish_us -
-                                    slot->cancel_us);
-        }
-    }
 
-    // Final fold, identical to the serial cascade's accumulation.
-    // Cancelled slots sit strictly after the fold's stopping point,
-    // so they are never visited — stats and notes match a serial run.
-    for (auto &slot_ptr : slots) {
-        TemplateSlot &s = *slot_ptr;
-        out.stages.insert(out.stages.end(), s.stages.begin(),
-                          s.stages.end());
-        for (const auto &w : s.windows)
-            out.candidates.push_back({s.name, w});
-        switch (s.outcome) {
-          case TemplateSlot::Outcome::Skipped:
-          case TemplateSlot::Outcome::Cancelled:
-            continue;
-          case TemplateSlot::Outcome::NotSynth:
-          case TemplateSlot::Outcome::NoRepair:
-            out.detail += s.note;
-            continue;
-          case TemplateSlot::Outcome::Failed:
-            out.degraded = true;
-            out.detail += s.note;
-            continue;
-          case TemplateSlot::Outcome::Timeout:
-            out.timed_out = true;
-            out.detail += s.note;
-            continue;
-          case TemplateSlot::Outcome::Repaired:
-            break;
-        }
-        if (!out.best || s.changes < out.best->changes) {
-            out.best = PortfolioBest{std::move(s.repaired), s.changes,
-                                     s.name, s.window_past,
-                                     s.window_future};
-        }
-        if (s.changes <= config.change_threshold)
-            break;  // small enough: stop the cascade (paper Fig. 3)
-        out.detail += format(
-            "template %s: repair with %d changes exceeds threshold, "
-            "trying further templates\n",
-            s.name.c_str(), s.changes);
-    }
-    return out;
+    if (outcome.repaired)
+        return RepairOutcome::Status::Repaired;
+    if (timed_out)
+        return RepairOutcome::Status::Timeout;
+    return outcome.degraded ? RepairOutcome::Status::Degraded
+                            : RepairOutcome::Status::NoRepair;
 }
 
 } // namespace rtlrepair::repair

@@ -42,8 +42,8 @@ telemetry::Counter s_slack_us("window.deadline_slack_us",
 // every larger window UNSAT.
 telemetry::Counter s_fastforward("window.core_fastforward");
 // Trace cycles replayed validating candidates.  Baseline and prefix
-// replays show only as spans: the portfolio runs them for templates
-// the serial cascade never reaches.
+// replays show only as spans: at jobs>1 the portfolio runs them for
+// templates past the cascade's stopping point.
 telemetry::Counter s_sim_cycles("sim.cycles");
 
 const sim::SimOptions kReplayOptions{sim::XPolicy::Keep,
@@ -341,7 +341,7 @@ runEngine(const ir::TransitionSystem &sys,
           const templates::SynthVarTable &vars,
           const trace::IoTrace &resolved,
           const std::vector<Value> &init, const EngineConfig &config,
-          const Deadline *deadline)
+          const GuardConfig &guard_cfg, const Deadline *deadline)
 {
     EngineResult result;
     ConcreteRunner runner(sys, resolved, init);
@@ -387,12 +387,9 @@ runEngine(const ir::TransitionSystem &sys,
             result.status = EngineResult::Status::NoRepair;
             return result;
         }
-        size_t rss_kb = cfg.max_rss_kb > 0
-                            ? currentRssKb().value_or(0) : 0;
-        if (rss_kb > cfg.max_rss_kb) {
+        if (memoryWatermarkExceeded(guard_cfg)) {
             result.status = EngineResult::Status::Failed;
-            result.error =
-                format("RSS watermark exceeded (%zu KiB)", rss_kb);
+            result.error = "RSS watermark exceeded";
             return result;
         }
         WindowLadder::Window w = ladder.window();
@@ -428,7 +425,7 @@ runEngine(const ir::TransitionSystem &sys,
                 result.status = EngineResult::Status::Timeout;
                 return result;
             }
-            if (retries_used < cfg.solve_retries) {
+            if (retries_used < guard_cfg.solve_retries) {
                 ++retries_used;
                 solver_seed = retrySolverSeed(retries_used);
                 cfg.past_step = cfg.past_step > 1 ? cfg.past_step / 2
@@ -470,7 +467,7 @@ runEngine(const ir::TransitionSystem &sys,
             // reseeded solver and halved window growth.  Rung 2: give
             // up on this template only — the caller drops it from the
             // cascade and the siblings keep running.
-            if (retries_used < cfg.solve_retries) {
+            if (retries_used < guard_cfg.solve_retries) {
                 ++retries_used;
                 solver_seed = retrySolverSeed(retries_used);
                 cfg.past_step = cfg.past_step > 1 ? cfg.past_step / 2

@@ -41,12 +41,6 @@ struct EngineConfig
     size_t basic_max_candidates = 16;
     /** Label for stage reports / fault sites ("solve:<label>"). */
     std::string stage_label;
-    /** Window-solve retries (reseeded solver, halved window growth)
-     *  before the engine gives up with Status::Failed. */
-    int solve_retries = 1;
-    /** RSS watermark in KiB; while the process's current RSS exceeds
-     *  it, no further window solves are launched (0 = disabled). */
-    size_t max_rss_kb = 0;
 };
 
 /** Per-window-candidate solve statistics (Table 5 / portfolio). */
@@ -85,10 +79,10 @@ void captureQueryStats(WindowStat &stat, const RepairQuery &query,
 /**
  * Fold one window solve into the telemetry counters.  Called by the
  * driver over the final outcome's candidate list — NOT at engine
- * consume time: a template that the portfolio later cancels consumes
- * windows the serial cascade never runs, while the folded candidate
- * list is bit-identical for jobs=1 and jobs=N.  Wall-clock fields
- * land in the unstable group.
+ * consume time: at jobs>1 a template that the portfolio later
+ * cancels consumes windows the fold never visits, while the folded
+ * candidate list is bit-identical for jobs=1 and jobs=N.  Wall-clock
+ * fields land in the unstable group.
  */
 void recordWindowStat(const WindowStat &stat);
 
@@ -227,12 +221,17 @@ replayCycles(const sim::ReplayResult &r)
     return r.passed ? r.first_failure : r.first_failure + 1;
 }
 
-/** Run the repair engine on one instrumented system. */
+/**
+ * Run the repair engine on one instrumented system.  @p guard_cfg
+ * gives the window-solve retry budget (reseeded solver, halved window
+ * growth) and the RSS watermark checked before each window solve.
+ */
 EngineResult runEngine(const ir::TransitionSystem &sys,
                        const templates::SynthVarTable &vars,
                        const trace::IoTrace &resolved,
                        const std::vector<bv::Value> &init,
                        const EngineConfig &config,
+                       const GuardConfig &guard_cfg,
                        const Deadline *deadline);
 
 } // namespace rtlrepair::repair

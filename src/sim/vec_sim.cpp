@@ -1172,159 +1172,4 @@ recordTraceBatch(SimBackend backend, const Module &mod,
     return out;
 }
 
-// ----------------------------------------------------------------
-// VecInterpreter: packed transition-system evaluation.
-// ----------------------------------------------------------------
-
-namespace {
-
-PackedValue
-evalOpPacked(const ir::Node &node, const PackedValue *a0,
-             const PackedValue *a1, const PackedValue *a2)
-{
-    using ir::NodeKind;
-    switch (node.kind) {
-      case NodeKind::Not: return ~*a0;
-      case NodeKind::Neg: return a0->negate();
-      case NodeKind::RedAnd: return a0->redAnd();
-      case NodeKind::RedOr: return a0->redOr();
-      case NodeKind::RedXor: return a0->redXor();
-      case NodeKind::And: return *a0 & *a1;
-      case NodeKind::Or: return *a0 | *a1;
-      case NodeKind::Xor: return *a0 ^ *a1;
-      case NodeKind::Add: return *a0 + *a1;
-      case NodeKind::Sub: return *a0 - *a1;
-      case NodeKind::Mul: return *a0 * *a1;
-      case NodeKind::UDiv: return a0->udiv(*a1);
-      case NodeKind::URem: return a0->urem(*a1);
-      case NodeKind::Shl: return a0->shl(*a1);
-      case NodeKind::LShr: return a0->lshr(*a1);
-      case NodeKind::AShr: return a0->ashr(*a1);
-      case NodeKind::Eq: return a0->eq(*a1);
-      case NodeKind::Ult: return a0->ult(*a1);
-      case NodeKind::Ule: return a0->ule(*a1);
-      case NodeKind::Slt: return a0->slt(*a1);
-      case NodeKind::Sle: return a0->sle(*a1);
-      case NodeKind::Concat: return a0->concat(*a1);
-      case NodeKind::Slice: return a0->slice(node.a, node.b);
-      case NodeKind::Ite:
-        return PackedValue::ite(*a0, *a1, *a2);
-      case NodeKind::ZExt: return a0->zext(node.width);
-      case NodeKind::SExt: return a0->sext(node.width);
-      default:
-        panic("evalOpPacked on leaf node");
-    }
-}
-
-} // namespace
-
-VecInterpreter::VecInterpreter(const ir::TransitionSystem &sys,
-                               uint32_t nlanes)
-    : _sys(sys), _nlanes(nlanes)
-{
-    check(nlanes >= 1 && nlanes <= PackedValue::kLanes,
-          "lane count out of range");
-    _all = nlanes == 64 ? ~0ull : ((1ull << nlanes) - 1ull);
-    _node_vals.resize(_sys.nodes.size());
-    _state_vals.resize(_sys.states.size());
-    _input_vals.resize(_sys.inputs.size());
-    for (size_t i = 0; i < _sys.inputs.size(); ++i)
-        _input_vals[i] = PackedValue::allX(_sys.inputs[i].width);
-    for (const auto &node : _sys.nodes) {
-        check(node.kind != ir::NodeKind::SynthVar,
-              "VecInterpreter: specialize synthesis variables away "
-              "first");
-    }
-    reset();
-}
-
-void
-VecInterpreter::reset()
-{
-    for (size_t i = 0; i < _sys.states.size(); ++i) {
-        const auto &st = _sys.states[i];
-        _state_vals[i] = st.init
-                             ? PackedValue::broadcast(*st.init)
-                             : PackedValue::allX(st.width);
-    }
-    _cycle_valid = false;
-}
-
-void
-VecInterpreter::setInputAll(size_t index, const Value &value)
-{
-    check(index < _input_vals.size(), "input index out of range");
-    Value v = value;
-    uint32_t want = _sys.inputs[index].width;
-    if (v.width() < want)
-        v = v.zext(want);
-    else if (v.width() > want)
-        v = v.slice(want - 1, 0);
-    _input_vals[index] = PackedValue::broadcast(v);
-    _cycle_valid = false;
-}
-
-void
-VecInterpreter::setStateAll(size_t index, const Value &value)
-{
-    check(index < _state_vals.size(), "state index out of range");
-    check(value.width() == _sys.states[index].width,
-          "state width mismatch");
-    _state_vals[index] = PackedValue::broadcast(value);
-    _cycle_valid = false;
-}
-
-void
-VecInterpreter::evalCycle()
-{
-    using ir::Node;
-    using ir::NodeKind;
-    using ir::NodeRef;
-    for (NodeRef ref = 0; ref < _sys.nodes.size(); ++ref) {
-        const Node &n = _sys.nodes[ref];
-        switch (n.kind) {
-          case NodeKind::Const:
-            _node_vals[ref] =
-                PackedValue::broadcast(_sys.consts[n.index]);
-            break;
-          case NodeKind::Input:
-            _node_vals[ref] = _input_vals[n.index];
-            break;
-          case NodeKind::State:
-            _node_vals[ref] = _state_vals[n.index];
-            break;
-          default: {
-            const PackedValue *a0 = &_node_vals[n.args[0]];
-            const PackedValue *a1 =
-                n.args[1] != ir::kNullRef ? &_node_vals[n.args[1]]
-                                          : nullptr;
-            const PackedValue *a2 =
-                n.args[2] != ir::kNullRef ? &_node_vals[n.args[2]]
-                                          : nullptr;
-            _node_vals[ref] = evalOpPacked(n, a0, a1, a2);
-            break;
-          }
-        }
-    }
-    _cycle_valid = true;
-}
-
-void
-VecInterpreter::step()
-{
-    if (!_cycle_valid)
-        evalCycle();
-    for (size_t i = 0; i < _sys.states.size(); ++i)
-        _state_vals[i] = _node_vals[_sys.states[i].next];
-    _cycle_valid = false;
-}
-
-const PackedValue &
-VecInterpreter::output(size_t index) const
-{
-    check(_cycle_valid, "evalCycle() must run before reading values");
-    check(index < _sys.outputs.size(), "output index out of range");
-    return _node_vals[_sys.outputs[index].ref];
-}
-
 } // namespace rtlrepair::sim

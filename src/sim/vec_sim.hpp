@@ -2,23 +2,15 @@
  * @file
  * Bit-parallel 64-lane vectorized simulation backend.
  *
- * Both simulators in this file execute 64 independent stimuli in one
- * pass by operating on bv::PackedValue planes and *lane masks*
- * (uint64_t, bit L = lane L):
- *
- *  - VecEventSimulator mirrors EventSimulator (event_sim.cpp)
- *    statement for statement; divergent control flow is handled by
- *    masked execution (an `if` executes the then-branch under the
- *    lanes whose condition is true and the else-branch under the
- *    rest), and the delta-cycle loop keeps per-lane changed/NBA masks
- *    so that event scheduling, edge detection, and the oscillation
- *    cutoff are decided per lane exactly as 64 scalar simulators
- *    would decide them.
- *
- *  - VecInterpreter mirrors the IR Interpreter: one forward sweep
- *    over a transition system without synthesis variables (a
- *    design, or a repair specialized by ir::specialize) advances 64
- *    runs at once.
+ * VecEventSimulator executes 64 independent stimuli in one pass by
+ * operating on bv::PackedValue planes and *lane masks* (uint64_t,
+ * bit L = lane L).  It mirrors EventSimulator (event_sim.cpp)
+ * statement for statement; divergent control flow is handled by
+ * masked execution (an `if` executes the then-branch under the lanes
+ * whose condition is true and the else-branch under the rest), and
+ * the delta-cycle loop keeps per-lane changed/NBA masks so that event
+ * scheduling, edge detection, and the oscillation cutoff are decided
+ * per lane exactly as 64 scalar simulators would decide them.
  *
  * The equivalence contract: lane L of any vectorized run is bit-exact
  * with an independent scalar run of lane L's stimulus (enforced by
@@ -201,39 +193,6 @@ std::vector<trace::IoTrace> recordTraceBatch(
     const std::string &clock,
     const std::vector<const trace::InputSequence *> &stims);
 /** @} */
-
-/** Packed-plane interpreter: 64 transition-system runs at once.
- *  @p sys must hold no SynthVar node (checked on construction). */
-class VecInterpreter
-{
-  public:
-    explicit VecInterpreter(const ir::TransitionSystem &sys,
-                            uint32_t nlanes);
-
-    /** Reset all states to init (X kept, as SimOptions{Keep}). */
-    void reset();
-
-    /** Same value in every lane (batch runs share the stimulus). */
-    void setInputAll(size_t index, const bv::Value &value);
-    /** Same state seed in every lane. */
-    void setStateAll(size_t index, const bv::Value &value);
-
-    void evalCycle();
-    void step();
-
-    const bv::PackedValue &output(size_t index) const;
-    uint32_t lanes() const { return _nlanes; }
-    uint64_t allLanes() const { return _all; }
-
-  private:
-    const ir::TransitionSystem &_sys;
-    uint32_t _nlanes;
-    uint64_t _all;
-    std::vector<bv::PackedValue> _node_vals;
-    std::vector<bv::PackedValue> _state_vals;
-    std::vector<bv::PackedValue> _input_vals;
-    bool _cycle_valid = false;
-};
 
 } // namespace rtlrepair::sim
 

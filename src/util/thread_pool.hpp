@@ -4,12 +4,12 @@
  * the parallel repair portfolio.
  *
  * Tasks are arbitrary callables; submit() returns a std::future for
- * the task's result.  A thread that has to wait for a future (for
- * example a template task waiting on its window solves) should wait
- * through waitCollect()/help(), which pops and runs queued jobs
- * instead of blocking — so nested fan-out (portfolio tasks that
- * themselves submit window solves) cannot deadlock the pool, and the
- * waiting thread's core keeps doing useful work.
+ * the task's result.  help() pops one queued job and runs it in the
+ * calling thread, so a thread that polls its futures between help()
+ * calls counts as one more worker.  The portfolio's scheduler works
+ * this way: it runs templates itself, and with no worker threads it
+ * runs every template.  waitCollect() is the same loop for a single
+ * future.
  *
  * Long-running tasks are expected to poll a Deadline (optionally
  * derived from a CancelToken) so shutdown and first-success-wins
@@ -36,7 +36,7 @@ class ThreadPool
 {
   public:
     /** Spawn @p workers threads (0 is allowed: all jobs then run in
-     *  whichever thread calls help()/waitCollect()). */
+     *  whichever thread calls help()). */
     explicit ThreadPool(size_t workers);
 
     /** Joins all workers; queued jobs are drained first (they should

@@ -163,6 +163,10 @@ TEST_F(FaultInjectionTest, SweepAllSitesAndKindsAtBothJobCounts)
         "preprocess",
         "elaborate",
         "baseline",
+        // Outside every stage guard: the fault reaches reap().
+        "task:replace-literals",
+        "task:add-guard",
+        "task:conditional-overwrite",
         "template:replace-literals",
         "elaborate:replace-literals",
         "engine:replace-literals",

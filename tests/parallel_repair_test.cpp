@@ -1,8 +1,8 @@
-// Determinism contract of the parallel repair portfolio: for any
-// benchmark, jobs=1 (the serial cascade) and jobs=N must produce an
-// identical RepairOutcome — same status, winning template, change
-// count, repair window, patched source, and per-candidate stats —
-// regardless of thread timing.
+// Determinism contract of the repair portfolio: for any benchmark,
+// jobs=1 (no worker thread, templates run in order on the caller) and
+// jobs=N must produce an identical RepairOutcome — same status,
+// winning template, change count, repair window, patched source, and
+// per-candidate stats — regardless of thread timing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -99,6 +99,28 @@ TEST(ParallelDeterminism, CounterW1NoRepair)
 }
 
 TEST(ParallelDeterminism, Sha3S1) { expectDeterministic("sha3_s1"); }
+
+// A run the caller cancels (Ctrl-C, client disconnect) reports
+// Timeout, as RepairConfig::cancel documents, at every job count.
+TEST(ParallelDeterminism, CallerCancelIsTimeoutAtEveryJobCount)
+{
+    const LoadedBenchmark &lb = load("counter_k1");
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        CancelToken cancel;
+        cancel.cancel();
+        RepairConfig config;
+        config.x_policy = lb.def->x_policy;
+        config.jobs = jobs;
+        config.cancel = &cancel;
+        RepairOutcome outcome = repair::repairDesign(
+            *lb.buggy, lb.buggy_lib, lb.tb, config);
+        EXPECT_EQ(outcome.status, RepairOutcome::Status::Timeout);
+        EXPECT_TRUE(outcome.cancelled);
+        EXPECT_FALSE(outcome.repaired);
+        EXPECT_TRUE(outcome.candidates.empty());
+    }
+}
 
 // Sweep the whole CirFix registry so a determinism regression on any
 // benchmark class is caught, not just the hand-picked ones above.

@@ -9,6 +9,7 @@
 
 #include "benchmarks/registry.hpp"
 #include "repair/driver.hpp"
+#include "util/fault.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -255,6 +256,13 @@ TEST_F(TelemetryTest, DeterministicCountersAcrossJobs)
     };
     telemetry::setEnabled(true);
     auto serial = run(1);
+    // jobs=1 starts no worker thread: the caller runs every template.
+    EXPECT_EQ(counterValue("pool.jobs_worker",
+                           telemetry::MetricKind::Unstable),
+              0u);
+    EXPECT_GT(counterValue("pool.jobs_help",
+                           telemetry::MetricKind::Unstable),
+              0u);
     auto parallel = run(4);
     EXPECT_EQ(serial, parallel);
     // The run did real solver work and the counters saw it.
@@ -284,6 +292,33 @@ TEST_F(TelemetryTest, DeterministicCountersAcrossJobs)
     EXPECT_TRUE(saw_window);
     EXPECT_TRUE(saw_baseline);
     EXPECT_TRUE(saw_candidates);
+}
+
+/** Cancel telemetry counts a cancelled task that faults outside its
+ *  stage guards, like any other cancelled task. */
+TEST_F(TelemetryTest, CancelledFaultedTaskCountsAsCancelled)
+{
+    const benchmarks::LoadedBenchmark &lb =
+        benchmarks::load("counter_w2");
+    repair::RepairConfig config;
+    config.timeout_seconds = 60.0;
+    config.x_policy = lb.def->x_policy;
+    config.jobs = 1;
+    telemetry::setEnabled(true);
+    // At jobs=1 replace-literals repairs first, so both later
+    // templates are cancelled before they start; add-guard's task
+    // then throws at its start and is reaped as a fault.
+    FaultInjector::instance().configure("task:add-guard:throw:1");
+    repair::RepairOutcome outcome = repair::repairDesign(
+        *lb.buggy, lb.buggy_lib, lb.tb, config);
+    FaultInjector::instance().reset();
+    EXPECT_EQ(outcome.status, repair::RepairOutcome::Status::Repaired);
+    EXPECT_EQ(outcome.template_name, "replace-literals");
+    // Slots after the winner are reaped but never folded.
+    EXPECT_FALSE(outcome.degraded);
+    EXPECT_EQ(counterValue("portfolio.cancelled",
+                           telemetry::MetricKind::Unstable),
+              2u);
 }
 
 } // namespace
