@@ -26,14 +26,11 @@ evalBinary(BinaryOp op, Value lhs, Value rhs)
 {
     switch (op) {
       case BinaryOp::Shl:
-        return lhs.shl(rhs.zext(std::max(rhs.width(), lhs.width()))
-                           .slice(lhs.width() - 1, 0));
+        return lhs.shl(rhs.resize(lhs.width()));
       case BinaryOp::Shr:
-        return lhs.lshr(rhs.zext(std::max(rhs.width(), lhs.width()))
-                            .slice(lhs.width() - 1, 0));
+        return lhs.lshr(rhs.resize(lhs.width()));
       case BinaryOp::AShr:
-        return lhs.ashr(rhs.zext(std::max(rhs.width(), lhs.width()))
-                            .slice(lhs.width() - 1, 0));
+        return lhs.ashr(rhs.resize(lhs.width()));
       default:
         break;
     }

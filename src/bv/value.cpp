@@ -250,19 +250,6 @@ Value::toUint64() const
     return bits()[0];
 }
 
-Value
-Value::fromPlanes(uint32_t width, std::vector<uint64_t> bits,
-                  std::vector<uint64_t> xmask)
-{
-    Value v = zeros(width);
-    auto b = v.bits(), x = v.xmask();
-    std::copy_n(bits.begin(), std::min(b.size(), bits.size()), b.begin());
-    std::copy_n(xmask.begin(), std::min(x.size(), xmask.size()),
-                x.begin());
-    v.normalize();
-    return v;
-}
-
 std::string
 Value::toBinaryString() const
 {
@@ -289,14 +276,6 @@ Value::toVerilogLiteral() const
         return format("%u'h%s", width(), digits.c_str());
     }
     return format("%u'b%s", width(), toBinaryString().c_str());
-}
-
-std::string
-Value::toDisplayString() const
-{
-    if (!hasX() && width() <= 64)
-        return format("%llu", static_cast<unsigned long long>(bits()[0]));
-    return toBinaryString();
 }
 
 bool
@@ -357,6 +336,16 @@ Value::slice(uint32_t hi, uint32_t lo) const
     for (uint32_t i = lo; i <= hi; ++i)
         v.setBit(i - lo, bit(i));
     return v;
+}
+
+Value
+Value::resize(uint32_t new_width) const
+{
+    if (new_width > width())
+        return zext(new_width);
+    if (new_width < width())
+        return slice(new_width - 1, 0);
+    return *this;
 }
 
 Value

@@ -108,20 +108,12 @@ class Value
     uint64_t bitsWord(size_t i) const { return bits()[i]; }
     /** Word @p i of the X plane; set bits are unknown. */
     uint64_t xmaskWord(size_t i) const { return xmask()[i]; }
-    /**
-     * Build from raw planes: @p bits / @p xmask are little-endian
-     * words, excess bits are masked and data bits under X cleared.
-     */
-    static Value fromPlanes(uint32_t width, std::vector<uint64_t> bits,
-                            std::vector<uint64_t> xmask);
     /** @} */
 
     /** Binary digits, MSB first, with @c x for unknown bits. */
     std::string toBinaryString() const;
     /** Verilog literal form, e.g. @c 4'b10x1 (hex when fully known). */
     std::string toVerilogLiteral() const;
-    /** Decimal if fully known and width <= 64, else binary form. */
-    std::string toDisplayString() const;
 
     bool operator==(const Value &other) const;
     bool operator!=(const Value &other) const { return !(*this == other); }
@@ -138,6 +130,9 @@ class Value
     Value sext(uint32_t new_width) const;
     /** Bits [hi:lo], inclusive; hi < width(). */
     Value slice(uint32_t hi, uint32_t lo) const;
+    /** Zero-extend or truncate to @p new_width, as a Verilog
+     *  assignment to a @p new_width-bit target does. */
+    Value resize(uint32_t new_width) const;
     /** {this, low}: this becomes the upper bits. */
     Value concat(const Value &low) const;
     /** @p n copies of this value concatenated. */

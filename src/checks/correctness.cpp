@@ -10,76 +10,36 @@ namespace rtlrepair::checks {
 
 namespace {
 
-/** Synthesis-semantics replay (IR interpreter, zero-X policy). */
+/** The simulations the battery replays a testbench under. */
+enum class Replay { Event, EventReversed, Synthesis, GateLevel };
+
+/**
+ * Does @p mod pass @p io under @p how?  A FatalError (a design or
+ * trace the simulator rejects, such as a trace column that names no
+ * port) is a failed check; its message goes to @p error.
+ */
 bool
-synthesisReplay(const verilog::Module &mod,
-                const std::vector<const verilog::Module *> &library,
-                const trace::IoTrace &io, std::string *error)
+passes(Replay how, const verilog::Module &mod, const CheckInputs &inputs,
+       const trace::IoTrace &io, std::string *error = nullptr)
 {
     try {
+        if (how == Replay::Event || how == Replay::EventReversed) {
+            return sim::eventReplay(mod, inputs.library, inputs.clock,
+                                    io, how == Replay::EventReversed)
+                .passed;
+        }
         elaborate::ElaborateOptions opts;
-        opts.library = library;
+        opts.library = inputs.library;
         ir::TransitionSystem sys = elaborate::elaborate(mod, opts);
+        if (how == Replay::GateLevel)
+            return gates::gateReplay(gates::lower(sys), io).passed;
+        // Synthesis semantics: the IR interpreter, zero-X policy.
         sim::Interpreter interp(
-            sys, sim::SimOptions{sim::XPolicy::Zero,
-                                 sim::XPolicy::Zero, 1});
+            sys, sim::SimOptions{sim::XPolicy::Zero, sim::XPolicy::Zero, 1});
         return sim::replay(interp, io).passed;
     } catch (const FatalError &e) {
         if (error)
             *error = e.what();
-        return false;
-    }
-}
-
-bool
-gateLevelReplay(const verilog::Module &mod,
-                const std::vector<const verilog::Module *> &library,
-                const trace::IoTrace &io, std::string *error)
-{
-    try {
-        elaborate::ElaborateOptions opts;
-        opts.library = library;
-        ir::TransitionSystem sys = elaborate::elaborate(mod, opts);
-        gates::GateNetlist net = gates::lower(sys);
-        return gates::gateReplay(net, io).passed;
-    } catch (const FatalError &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
-}
-
-bool
-eventReplayPassed(const verilog::Module &mod,
-                  const std::vector<const verilog::Module *> &library,
-                  const std::string &clock, const trace::IoTrace &io,
-                  bool reverse)
-{
-    try {
-        sim::ReplayResult result;
-        sim::EventSimulator sim(mod, library, clock, reverse);
-        for (size_t cycle = 0; cycle < io.length(); ++cycle) {
-            for (size_t i = 0; i < io.inputs.size(); ++i) {
-                if (io.inputs[i].name == clock)
-                    continue;
-                sim.setInput(io.inputs[i].name,
-                             io.input_rows[cycle][i]);
-            }
-            if (clock.empty())
-                sim.settleOnly();
-            else
-                sim.step();
-            if (sim.unstable())
-                return false;
-            for (size_t i = 0; i < io.outputs.size(); ++i) {
-                if (!sim.sampledOutput(io.outputs[i].name)
-                         .matches(io.output_rows[cycle][i])) {
-                    return false;
-                }
-            }
-        }
-        return true;
-    } catch (const FatalError &) {
         return false;
     }
 }
@@ -108,18 +68,17 @@ checkRepair(const CheckInputs &inputs)
     CheckReport report;
 
     // 1. Original testbench under event-driven simulation.
-    report.testbench = eventReplayPassed(
-        *inputs.repaired, inputs.library, inputs.clock, *inputs.tb,
-        /*reverse=*/false);
+    report.testbench =
+        passes(Replay::Event, *inputs.repaired, inputs, *inputs.tb);
 
     // 2. Gate-level: applicable only if the ground truth passes it.
     std::string golden_err;
-    bool golden_gate = gateLevelReplay(*inputs.golden, inputs.library,
-                                       *inputs.tb, &golden_err);
+    bool golden_gate = passes(Replay::GateLevel, *inputs.golden, inputs,
+                              *inputs.tb, &golden_err);
     if (golden_gate) {
         std::string err;
-        report.gate_level = gateLevelReplay(
-            *inputs.repaired, inputs.library, *inputs.tb, &err);
+        report.gate_level = passes(Replay::GateLevel, *inputs.repaired,
+                                   inputs, *inputs.tb, &err);
         if (!*report.gate_level && !err.empty())
             report.detail += "gate-level: " + err + "\n";
     } else {
@@ -133,17 +92,15 @@ checkRepair(const CheckInputs &inputs)
     // 3. Second simulator: reversed scheduling + synthesis replay,
     //    applicable only if the ground truth agrees under both.
     bool golden_second =
-        eventReplayPassed(*inputs.golden, inputs.library, inputs.clock,
-                          *inputs.tb, /*reverse=*/true) &&
-        synthesisReplay(*inputs.golden, inputs.library, *inputs.tb,
-                        nullptr);
+        passes(Replay::EventReversed, *inputs.golden, inputs,
+               *inputs.tb) &&
+        passes(Replay::Synthesis, *inputs.golden, inputs, *inputs.tb);
     if (golden_second) {
-        bool rev = eventReplayPassed(*inputs.repaired, inputs.library,
-                                     inputs.clock, *inputs.tb,
-                                     /*reverse=*/true);
+        bool rev = passes(Replay::EventReversed, *inputs.repaired,
+                          inputs, *inputs.tb);
         std::string err;
-        bool synth = synthesisReplay(*inputs.repaired, inputs.library,
-                                     *inputs.tb, &err);
+        bool synth = passes(Replay::Synthesis, *inputs.repaired, inputs,
+                            *inputs.tb, &err);
         report.second_simulator = rev && synth;
         if (!synth && !err.empty())
             report.detail += "second-simulator: " + err + "\n";
@@ -154,9 +111,8 @@ checkRepair(const CheckInputs &inputs)
 
     // 4. Extended testbench.
     if (inputs.extended_tb) {
-        report.extended = eventReplayPassed(
-            *inputs.repaired, inputs.library, inputs.clock,
-            *inputs.extended_tb, /*reverse=*/false);
+        report.extended = passes(Replay::Event, *inputs.repaired,
+                                 inputs, *inputs.extended_tb);
     }
 
     report.overall = report.testbench.value_or(false);

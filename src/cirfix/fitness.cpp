@@ -22,41 +22,32 @@ evaluateFitness(const verilog::Module &candidate,
     size_t matched = 0;
     try {
         sim::EventSimulator sim(candidate, library, clock);
-        for (size_t cycle = 0; cycle < cycles; ++cycle) {
-            for (size_t i = 0; i < io.inputs.size(); ++i) {
-                if (io.inputs[i].name == clock)
-                    continue;
-                sim.setInput(io.inputs[i].name,
-                             io.input_rows[cycle][i]);
-            }
-            if (clock.empty())
-                sim.settleOnly();
-            else
-                sim.step();
-            if (sim.unstable()) {
-                fitness.crashed = true;
-                fitness.score = 0.0;
-                return fitness;
-            }
-            for (size_t i = 0; i < io.outputs.size(); ++i) {
-                const Value &expected = io.output_rows[cycle][i];
-                if (expected.hasX() &&
-                    expected == Value::allX(expected.width())) {
-                    continue;  // fully unchecked value
+        sim::TraceBinding bind(sim.flattened(), clock, io.inputs,
+                               io.outputs);
+        sim::runEventCycles(
+            sim, bind, io.input_rows, cycles, [&](size_t cycle) {
+                fitness.crashed = sim.unstable();
+                for (size_t i = 0;
+                     i < bind.outputs.size() && !fitness.crashed; ++i) {
+                    const Value &expected = io.output_rows[cycle][i];
+                    if (expected.hasX() &&
+                        expected == Value::allX(expected.width())) {
+                        continue;  // fully unchecked value
+                    }
+                    ++checked;
+                    if (sim.sampledOutput(bind.outputs[i])
+                            .matches(expected))
+                        ++matched;
                 }
-                ++checked;
-                Value got = sim.sampledOutput(io.outputs[i].name);
-                if (got.matches(expected))
-                    ++matched;
-            }
-        }
+                return !fitness.crashed;
+            });
     } catch (const FatalError &) {
         fitness.crashed = true;
-        return fitness;
     } catch (const PanicError &) {
         fitness.crashed = true;
-        return fitness;
     }
+    if (fitness.crashed)
+        return fitness;  // score 0
 
     fitness.score = checked == 0
                         ? 1.0

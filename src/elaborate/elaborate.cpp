@@ -568,12 +568,8 @@ class Elaborator
                 fatal("initial block assigns non-register: " + name);
             }
             Value v = analysis::constEval(*a.rhs, _table.params());
-            uint32_t w = _table.widthOf(name);
-            if (v.width() < w)
-                v = v.zext(w);
-            else if (v.width() > w)
-                v = v.slice(w - 1, 0);
-            _builder.setInit(_values.at(name), v);
+            _builder.setInit(_values.at(name),
+                             v.resize(_table.widthOf(name)));
             return;
           }
           case Stmt::Kind::Empty:

@@ -104,10 +104,8 @@ class Lowerer
             auto &lit = static_cast<LiteralExpr &>(*e);
             if (lit.value.width() == width)
                 return e;
-            Value v = lit.value.width() > width
-                          ? lit.value.slice(width - 1, 0)
-                          : lit.value.zext(width);
-            auto *adjusted = new LiteralExpr(v, true);
+            auto *adjusted =
+                new LiteralExpr(lit.value.resize(width), true);
             adjusted->id = e->id;
             adjusted->loc = e->loc;
             return ExprPtr(adjusted);

@@ -121,44 +121,9 @@ GateSimulator::assignWord(const smt::Word &word, const Value &value)
 sim::ReplayResult
 gateReplay(const GateNetlist &net, const trace::IoTrace &io)
 {
+    sim::TraceBinding bind(*net.sys, io.inputs, io.outputs);
     GateSimulator sim(net);
-    const auto &sys = *net.sys;
-
-    std::vector<int> input_map(io.inputs.size());
-    for (size_t i = 0; i < io.inputs.size(); ++i) {
-        input_map[i] = sys.inputIndex(io.inputs[i].name);
-        check(input_map[i] >= 0,
-              "trace input not in netlist: " + io.inputs[i].name);
-    }
-    std::vector<int> output_map(io.outputs.size());
-    for (size_t i = 0; i < io.outputs.size(); ++i) {
-        output_map[i] = sys.outputIndex(io.outputs[i].name);
-        check(output_map[i] >= 0,
-              "trace output not in netlist: " + io.outputs[i].name);
-    }
-
-    sim::ReplayResult result;
-    sim.reset();
-    for (size_t cycle = 0; cycle < io.length(); ++cycle) {
-        for (size_t i = 0; i < input_map.size(); ++i) {
-            sim.setInput(static_cast<size_t>(input_map[i]),
-                         io.input_rows[cycle][i]);
-        }
-        sim.evalCycle();
-        for (size_t i = 0; i < output_map.size(); ++i) {
-            Value got =
-                sim.output(static_cast<size_t>(output_map[i]));
-            if (!got.matches(io.output_rows[cycle][i])) {
-                result.passed = false;
-                result.first_failure = cycle;
-                result.failed_output = io.outputs[i].name;
-                return result;
-            }
-        }
-        sim.step();
-    }
-    result.first_failure = io.length();
-    return result;
+    return sim::replayCycles(sim, bind, io);
 }
 
 } // namespace rtlrepair::gates

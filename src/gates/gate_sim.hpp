@@ -10,7 +10,7 @@
 #define RTLREPAIR_GATES_GATE_SIM_HPP
 
 #include "gates/netlist.hpp"
-#include "sim/interpreter.hpp"
+#include "sim/replay.hpp"
 #include "trace/io_trace.hpp"
 
 namespace rtlrepair::gates {

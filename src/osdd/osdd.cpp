@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/interpreter.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace rtlrepair::osdd {
@@ -20,97 +19,70 @@ compute(const ir::TransitionSystem &golden,
     result.first_state_divergence = stim.length();
 
     // The metric requires matching state and output variables.
-    bool comparable = golden.states.size() == buggy.states.size() &&
-                      golden.outputs.size() == buggy.outputs.size();
-    if (comparable) {
-        for (size_t i = 0; i < golden.states.size(); ++i) {
-            if (buggy.stateIndex(golden.states[i].name) < 0)
-                comparable = false;
-        }
-        for (size_t i = 0; i < golden.outputs.size(); ++i) {
-            if (buggy.outputIndex(golden.outputs[i].name) < 0)
-                comparable = false;
-        }
-    }
-    if (!comparable)
+    if (golden.states.size() != buggy.states.size() ||
+        golden.outputs.size() != buggy.outputs.size())
         return result;
+    std::vector<size_t> bstate(golden.states.size());
+    for (size_t i = 0; i < golden.states.size(); ++i) {
+        int bi = buggy.stateIndex(golden.states[i].name);
+        if (bi < 0)
+            return result;
+        bstate[i] = static_cast<size_t>(bi);
+    }
+    std::vector<size_t> boutput(golden.outputs.size());
+    for (size_t i = 0; i < golden.outputs.size(); ++i) {
+        int bi = buggy.outputIndex(golden.outputs[i].name);
+        if (bi < 0)
+            return result;
+        boutput[i] = static_cast<size_t>(bi);
+    }
 
-    sim::SimOptions options;
-    options.init_policy = sim::XPolicy::Zero;
-    options.input_policy = sim::XPolicy::Zero;
+    sim::SimOptions options{sim::XPolicy::Zero, sim::XPolicy::Zero, 1};
     sim::Interpreter gsim(golden, options);
     sim::Interpreter bsim(buggy, options);
-
-    std::vector<int> ginput(stim.inputs.size());
-    std::vector<int> binput(stim.inputs.size());
-    for (size_t i = 0; i < stim.inputs.size(); ++i) {
-        ginput[i] = golden.inputIndex(stim.inputs[i].name);
-        binput[i] = buggy.inputIndex(stim.inputs[i].name);
-        check(ginput[i] >= 0 && binput[i] >= 0,
-              "stimulus input missing: " + stim.inputs[i].name);
-    }
+    sim::TraceBinding gbind(golden, stim.inputs);
+    sim::TraceBinding bbind(buggy, stim.inputs);
 
     // Start both from the same arbitrary (seeded random) state: a
     // shared nonzero start makes missing-reset bugs diverge, matching
     // the paper's "starting assignment to all state variables".
     Rng rng(0x05dd);
-    gsim.reset();
-    bsim.reset();
-    auto resized = [](const Value &v, uint32_t w) {
-        if (v.width() < w)
-            return v.zext(w);
-        if (v.width() > w)
-            return v.slice(w - 1, 0);
-        return v;
-    };
     for (size_t i = 0; i < golden.states.size(); ++i) {
         Value start = Value::random(golden.states[i].width, rng);
         gsim.setState(i, start);
-        int bi = buggy.stateIndex(golden.states[i].name);
         // A bug may shrink or widen a register ("insufficient
         // register size"); seed the overlapping bits identically.
-        bsim.setState(static_cast<size_t>(bi),
-                      resized(start,
-                              buggy.states[static_cast<size_t>(bi)]
-                                  .width));
+        bsim.setState(bstate[i],
+                      start.resize(buggy.states[bstate[i]].width));
     }
 
+    // Values compare over the wider of the two widths.
+    auto differs = [](const Value &a, const Value &b) {
+        uint32_t w = std::max(a.width(), b.width());
+        return a.resize(w) != b.resize(w);
+    };
     for (size_t cycle = 0; cycle < stim.length(); ++cycle) {
-        for (size_t i = 0; i < stim.inputs.size(); ++i) {
-            gsim.setInput(static_cast<size_t>(ginput[i]),
-                          stim.rows[cycle][i]);
-            bsim.setInput(static_cast<size_t>(binput[i]),
-                          stim.rows[cycle][i]);
-        }
+        gbind.applyInputs(gsim, stim.rows[cycle]);
+        bbind.applyInputs(bsim, stim.rows[cycle]);
         gsim.evalCycle();
         bsim.evalCycle();
 
         // State comparison happens on entry to the cycle.
-        auto differs = [&resized](const Value &a, const Value &b) {
-            uint32_t w = std::max(a.width(), b.width());
-            return resized(a, w) != resized(b, w);
-        };
         if (!result.state_diverged) {
             for (size_t i = 0; i < golden.states.size(); ++i) {
-                int bi = buggy.stateIndex(golden.states[i].name);
                 if (differs(gsim.stateValue(i),
-                            bsim.stateValue(
-                                static_cast<size_t>(bi)))) {
+                            bsim.stateValue(bstate[i]))) {
                     result.state_diverged = true;
                     result.first_state_divergence = cycle;
                     break;
                 }
             }
         }
-        if (!result.output_diverged) {
-            for (size_t i = 0; i < golden.outputs.size(); ++i) {
-                int bi = buggy.outputIndex(golden.outputs[i].name);
-                if (differs(gsim.output(i),
-                            bsim.output(static_cast<size_t>(bi)))) {
-                    result.output_diverged = true;
-                    result.first_output_divergence = cycle;
-                    break;
-                }
+        for (size_t i = 0; i < golden.outputs.size(); ++i) {
+            if (differs(gsim.output(i), bsim.output(boutput[i]))) {
+                result.output_diverged = true;
+                result.first_output_divergence = cycle;
+                break;
             }
         }
         if (result.output_diverged)

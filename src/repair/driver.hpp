@@ -50,6 +50,10 @@ class ElaborationCache
     virtual void store(uint64_t key, const Entry &entry) = 0;
 };
 
+/** Repairs with more changes than this keep the template cascade
+ *  going (paper Fig. 3). */
+constexpr int kChangeThreshold = 3;
+
 /** Tool configuration. */
 struct RepairConfig
 {
@@ -59,8 +63,6 @@ struct RepairConfig
     sim::XPolicy x_policy = sim::XPolicy::Random;
     uint64_t seed = 1;
     EngineConfig engine;
-    /** Repairs larger than this keep the template cascade going. */
-    int change_threshold = 3;
     /** Restrict the run to a single template (Table 5 breakdown). */
     std::string only_template;
     /** Skip templates entirely (preprocessing-only runs). */

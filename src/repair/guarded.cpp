@@ -54,15 +54,14 @@ foldStageCounters(const std::vector<StageReport> &reports)
 }
 
 double
-stageSlice(double remaining, size_t stages_left,
-           const GuardConfig &config)
+stageSlice(double remaining, size_t stages_left)
 {
     if (remaining <= 0.0 || remaining >= 1e17)
         return 0.0;  // unlimited budget stays unlimited
     if (stages_left == 0)
         stages_left = 1;
     double fair = remaining / static_cast<double>(stages_left);
-    double slice = fair * config.overcommit;
+    double slice = fair * kStageOvercommit;
     return slice < remaining ? slice : remaining;
 }
 

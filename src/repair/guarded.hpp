@@ -71,25 +71,27 @@ std::string formatStageReports(const std::vector<StageReport> &reports);
  */
 void foldStageCounters(const std::vector<StageReport> &reports);
 
+/**
+ * Fraction of the remaining global budget a single template stage
+ * (instrument + elaborate + solve) may consume, expressed as an
+ * overcommit factor on the fair share remaining/stages_left: a
+ * pathological template can run past its fair share (slack from fast
+ * siblings is reused) but can never starve the whole run.
+ */
+constexpr double kStageOvercommit = 2.0;
+
+/** Window-solve retries before a template is dropped. */
+constexpr int kSolveRetries = 1;
+
 /** Budget policy for the containment layer. */
 struct GuardConfig
 {
-    /**
-     * Fraction of the remaining global budget a single template stage
-     * (instrument + elaborate + solve) may consume, expressed as an
-     * overcommit factor on the fair share remaining/stages_left: a
-     * pathological template can run past its fair share (slack from
-     * fast siblings is reused) but can never starve the whole run.
-     */
-    double overcommit = 2.0;
     /**
      * RSS watermark in MiB; while the process's current RSS exceeds
      * it, no further solve stages are launched (they are Skipped and
      * the run degrades).  0 disables the watermark.
      */
     size_t max_rss_mb = 0;
-    /** Window-solve retries before a template is dropped. */
-    int solve_retries = 1;
 };
 
 /**
@@ -97,8 +99,7 @@ struct GuardConfig
  * when @p remaining seconds of global budget are left.  Unlimited
  * (<= 0) budgets stay unlimited.
  */
-double stageSlice(double remaining, size_t stages_left,
-                  const GuardConfig &config);
+double stageSlice(double remaining, size_t stages_left);
 
 /** True while the process's current RSS exceeds the watermark. */
 bool memoryWatermarkExceeded(const GuardConfig &config);

@@ -114,8 +114,7 @@ runTemplateTask(TemplateSlot &s, templates::RepairTemplate &tmpl,
     // Each template gets a slice of the budget left when it starts,
     // so one pathological template cannot starve the ones after it.
     Deadline deadline(&global, &s.cancel,
-                      stageSlice(global.remaining(), s.stages_left,
-                                 config.guard));
+                      stageSlice(global.remaining(), s.stages_left));
     templates::TemplateResult inst;
     {
         StageGuard guard("template:" + s.name, s.stages);
@@ -326,7 +325,7 @@ runPortfolio(const verilog::Module &preprocessed,
             // fold still picks the winner, so a template finishing
             // first never wins on timing.
             if (s->outcome != TemplateSlot::Outcome::Repaired ||
-                s->changes > config.change_threshold) {
+                s->changes > kChangeThreshold) {
                 return;
             }
             for (size_t j = i + 1; j < slots.size(); ++j) {
@@ -379,7 +378,7 @@ runPortfolio(const verilog::Module &preprocessed,
             outcome.window_past = s.window_past;
             outcome.window_future = s.window_future;
         }
-        if (s.changes <= config.change_threshold)
+        if (s.changes <= kChangeThreshold)
             return true;  // small enough: stop the cascade (Fig. 3)
         outcome.detail += format(
             "template %s: repair with %d changes exceeds threshold, "

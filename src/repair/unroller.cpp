@@ -56,24 +56,6 @@ RepairQuery::allocateSynthWords()
 }
 
 void
-RepairQuery::buildColumnMaps()
-{
-    // Map trace columns to system inputs/outputs.
-    _input_of_column.resize(_io.inputs.size());
-    for (size_t i = 0; i < _io.inputs.size(); ++i) {
-        _input_of_column[i] = _sys.inputIndex(_io.inputs[i].name);
-        check(_input_of_column[i] >= 0,
-              "trace input not in design: " + _io.inputs[i].name);
-    }
-    _output_of_column.resize(_io.outputs.size());
-    for (size_t i = 0; i < _io.outputs.size(); ++i) {
-        _output_of_column[i] = _sys.outputIndex(_io.outputs[i].name);
-        check(_output_of_column[i] >= 0,
-              "trace output not in design: " + _io.outputs[i].name);
-    }
-}
-
-void
 RepairQuery::beginEpoch()
 {
     const sat::Solver &s = _solver.satSolver();
@@ -110,18 +92,13 @@ RepairQuery::encodeRange(size_t from, size_t to,
             bindings.inputs[i] =
                 smt::freshWord(aig, _sys.inputs[i].width);
         }
-        for (size_t col = 0; col < _input_of_column.size(); ++col) {
-            Value v = _io.input_rows[cycle][col];
+        for (size_t col = 0; col < _bind.inputs.size(); ++col) {
+            const Value &v = _io.input_rows[cycle][col];
             check(!v.hasX(),
                   "trace inputs must be X-resolved before encoding");
-            uint32_t want =
-                _sys.inputs[_input_of_column[col]].width;
-            if (v.width() < want)
-                v = v.zext(want);
-            else if (v.width() > want)
-                v = v.slice(want - 1, 0);
-            bindings.inputs[_input_of_column[col]] =
-                smt::wordOfValue(v);
+            size_t port = _bind.inputs[col];
+            bindings.inputs[port] =
+                smt::wordOfValue(v.resize(_sys.inputs[port].width));
         }
 
         CycleWords words = smt::blastCycle(aig, _sys, bindings);
@@ -133,10 +110,10 @@ RepairQuery::encodeRange(size_t from, size_t to,
         // gives retired constraints a single retraction point.
         Lit act = _solver.newActivationLit();
         _solver.satCore().addClause(act);
-        for (size_t col = 0; col < _output_of_column.size(); ++col) {
-            const Value &expected = _io.output_rows[cycle][col];
-            _solver.assertWordEqualsIf(
-                act, words.outputs[_output_of_column[col]], expected);
+        for (size_t col = 0; col < _bind.outputs.size(); ++col) {
+            _solver.assertWordEqualsIf(act,
+                                       words.outputs[_bind.outputs[col]],
+                                       _io.output_rows[cycle][col]);
         }
 
         bindings.states = std::move(words.next_states);
@@ -154,7 +131,8 @@ RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
                          size_t count,
                          const std::vector<Value> &start_state,
                          const Deadline *deadline)
-    : _sys(sys), _vars(vars), _io(io)
+    : _sys(sys), _vars(vars), _io(io),
+      _bind(sys, io.inputs, io.outputs)
 {
     telemetry::Span span("encode");
     s_queries.add(1);
@@ -166,7 +144,6 @@ RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
     beginEpoch();
     Stopwatch watch;
     allocateSynthWords();
-    buildColumnMaps();
 
     // Initial window state: concrete constants.
     std::vector<Word> states(sys.states.size());
@@ -185,13 +162,13 @@ RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
                          const trace::IoTrace &io, Incremental,
                          const Deadline *deadline,
                          uint64_t solver_seed)
-    : _sys(sys), _vars(vars), _io(io), _incremental(true)
+    : _sys(sys), _vars(vars), _io(io),
+      _bind(sys, io.inputs, io.outputs), _incremental(true)
 {
     (void)deadline;
     if (solver_seed != 0)
         _solver.satCore().setPhaseSeed(solver_seed);
     allocateSynthWords();
-    buildColumnMaps();
     _card.emplace(_solver, _phi_lits);
 }
 

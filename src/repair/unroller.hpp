@@ -45,6 +45,7 @@
 #include <optional>
 
 #include "ir/transition_system.hpp"
+#include "sim/replay.hpp"
 #include "smt/bitblast.hpp"
 #include "smt/bv_solver.hpp"
 #include "templates/synth_vars.hpp"
@@ -194,7 +195,6 @@ class RepairQuery
   private:
     templates::SynthAssignment extractModel();
     void allocateSynthWords();
-    void buildColumnMaps();
     void beginEpoch();
     /** Assumptions active in the current window (anchor, session). */
     std::vector<sat::Lit> baseAssumptions() const;
@@ -210,12 +210,11 @@ class RepairQuery
     const ir::TransitionSystem &_sys;
     const templates::SynthVarTable &_vars;
     const trace::IoTrace &_io;
+    sim::TraceBinding _bind;
     smt::BvSolver _solver;
     std::optional<smt::Totalizer> _card;
     std::vector<smt::Word> _synth_words;  ///< indexed like sys.synth_vars
     std::vector<smt::AigLit> _phi_lits;
-    std::vector<int> _input_of_column;
-    std::vector<int> _output_of_column;
     smt::Result _last = smt::Result::Unsat;
     std::optional<templates::SynthAssignment> _last_model;
     size_t _solver_aig_nodes = 0;

@@ -137,34 +137,11 @@ ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                const trace::IoTrace &resolved,
                                std::vector<Value> init)
     : _sys(sys), _io(resolved), _init(std::move(init)),
+      _bind(sys, resolved.inputs, resolved.outputs),
       _off(ir::specialize(sys, fixedUnder(sys, SynthAssignment{}))),
       _off_interp(_off, kReplayOptions)
 {
     check(_init.size() == sys.states.size(), "init size mismatch");
-    // A trace column that names no design port is malformed user
-    // input (the trace and the design come from the user together),
-    // so it must surface as FatalError, never as a panic.
-    _input_map.resize(_io.inputs.size());
-    for (size_t i = 0; i < _io.inputs.size(); ++i) {
-        _input_map[i] = sys.inputIndex(_io.inputs[i].name);
-        if (_input_map[i] < 0)
-            fatal("trace input not in design: " + _io.inputs[i].name);
-    }
-    _output_map.resize(_io.outputs.size());
-    for (size_t i = 0; i < _io.outputs.size(); ++i) {
-        _output_map[i] = sys.outputIndex(_io.outputs[i].name);
-        if (_output_map[i] < 0)
-            fatal("trace output not in design: " + _io.outputs[i].name);
-    }
-}
-
-void
-ConcreteRunner::applyInputs(sim::Interpreter &interp, size_t cycle)
-{
-    for (size_t i = 0; i < _input_map.size(); ++i) {
-        interp.setInput(static_cast<size_t>(_input_map[i]),
-                        _io.input_rows[cycle][i]);
-    }
 }
 
 sim::ReplayResult
@@ -172,25 +149,7 @@ ConcreteRunner::replay(sim::Interpreter &interp)
 {
     for (size_t i = 0; i < _init.size(); ++i)
         interp.setState(i, _init[i]);
-    sim::ReplayResult result;
-    for (size_t cycle = 0; cycle < _io.length(); ++cycle) {
-        applyInputs(interp, cycle);
-        interp.evalCycle();
-        for (size_t i = 0; i < _output_map.size(); ++i) {
-            const Value &expected = _io.output_rows[cycle][i];
-            const Value &got =
-                interp.output(static_cast<size_t>(_output_map[i]));
-            if (!got.matches(expected)) {
-                result.passed = false;
-                result.first_failure = cycle;
-                result.failed_output = _io.outputs[i].name;
-                return result;
-            }
-        }
-        interp.step();
-    }
-    result.first_failure = _io.length();
-    return result;
+    return sim::replayCycles(interp, _bind, _io);
 }
 
 sim::ReplayResult
@@ -260,7 +219,7 @@ ConcreteRunner::statesFrom(size_t snapshot_cycle,
             cycle - c <= kTail) {
             _snapshots.emplace(c, currentStates());
         }
-        applyInputs(_off_interp, c);
+        _bind.applyInputs(_off_interp, _io.input_rows[c]);
         _off_interp.step();
     }
     std::vector<Value> out = currentStates();
@@ -283,8 +242,8 @@ EngineResult
 runBasic(const ir::TransitionSystem &sys,
          const templates::SynthVarTable &vars,
          const trace::IoTrace &resolved, const std::vector<Value> &init,
-         ConcreteRunner &runner, const EngineConfig &config,
-         const Deadline *deadline, size_t first_failure)
+         ConcreteRunner &runner, const Deadline *deadline,
+         size_t first_failure)
 {
     EngineResult result;
     result.first_failure = first_failure;
@@ -293,7 +252,7 @@ runBasic(const ir::TransitionSystem &sys,
     RepairQuery query(sys, vars, resolved, 0, resolved.length(),
                       init, deadline);
     SynthesisResult synth = synthesizeMinimalRepairs(
-        query, vars, config.basic_max_candidates, deadline);
+        query, vars, kBasicMaxCandidates, deadline);
     WindowStat stat;
     stat.k_past = static_cast<int>(first_failure);
     stat.k_future =
@@ -359,14 +318,14 @@ runEngine(const ir::TransitionSystem &sys,
     result.first_failure = f;
 
     if (!config.adaptive) {
-        return runBasic(sys, vars, resolved, init, runner, config,
-                        deadline, f);
+        return runBasic(sys, vars, resolved, init, runner, deadline,
+                        f);
     }
 
-    // Local copy: the degradation ladder may halve the window growth
-    // step after a faulted solve.
-    EngineConfig cfg = config;
-    const std::string solve_stage = solveStageName(cfg.stage_label);
+    // The degradation ladder may halve the window growth step after a
+    // faulted solve.
+    size_t past_step = kPastStep;
+    const std::string solve_stage = solveStageName(config.stage_label);
     int retries_used = 0;
     uint64_t solver_seed = 0;
 
@@ -383,7 +342,7 @@ runEngine(const ir::TransitionSystem &sys,
             result.status = EngineResult::Status::Timeout;
             return result;
         }
-        if (ladder.exhausted(cfg)) {
+        if (ladder.exhausted()) {
             result.status = EngineResult::Status::NoRepair;
             return result;
         }
@@ -410,36 +369,14 @@ runEngine(const ir::TransitionSystem &sys,
         // window (and every larger one) is UNSAT without a solve.
         // The stage guard still runs (empty) so every window visited
         // leaves one fault site and one stage report.
-        if (inc_query && inc_query->windowIndependentUnsat()) {
-            bool ok = guard.run([] {});
-            if (ok) {
-                stat.k_past = static_cast<int>(ladder.k_past);
-                stat.k_future = static_cast<int>(ladder.k_future);
-                stat.status = "unsat";
-                result.windows.push_back(stat);
-                ladder.growPast(cfg);
-                continue;
-            }
-            inc_query.reset();
-            if (guard.report().status == StageStatus::TimedOut) {
-                result.status = EngineResult::Status::Timeout;
-                return result;
-            }
-            if (retries_used < guard_cfg.solve_retries) {
-                ++retries_used;
-                solver_seed = retrySolverSeed(retries_used);
-                cfg.past_step = cfg.past_step > 1 ? cfg.past_step / 2
-                                                  : cfg.past_step;
-                continue;
-            }
-            result.status = EngineResult::Status::Failed;
-            result.error = guard.report().diagnostic;
-            return result;
-        }
-
-        std::vector<Value> start_state = runner.statesAt(w.start);
-
+        bool fast_forward =
+            inc_query && inc_query->windowIndependentUnsat();
+        std::vector<Value> start_state;
+        if (!fast_forward)
+            start_state = runner.statesAt(w.start);
         bool solved = guard.run([&] {
+            if (fast_forward)
+                return;
             if (!inc_query) {
                 inc_query.emplace(sys, vars, resolved,
                                   RepairQuery::Incremental{}, deadline,
@@ -448,7 +385,7 @@ runEngine(const ir::TransitionSystem &sys,
             inc_query->retarget(w.start, w.count, start_state,
                                 deadline);
             synth = synthesizeMinimalRepairs(*inc_query, vars,
-                                             cfg.max_candidates,
+                                             config.max_candidates,
                                              deadline);
             captureQueryStats(stat, *inc_query, deadline);
         });
@@ -467,11 +404,10 @@ runEngine(const ir::TransitionSystem &sys,
             // reseeded solver and halved window growth.  Rung 2: give
             // up on this template only — the caller drops it from the
             // cascade and the siblings keep running.
-            if (retries_used < guard_cfg.solve_retries) {
+            if (retries_used < kSolveRetries) {
                 ++retries_used;
                 solver_seed = retrySolverSeed(retries_used);
-                cfg.past_step = cfg.past_step > 1 ? cfg.past_step / 2
-                                                  : cfg.past_step;
+                past_step = past_step > 1 ? past_step / 2 : past_step;
                 continue;
             }
             result.status = EngineResult::Status::Failed;
@@ -480,6 +416,12 @@ runEngine(const ir::TransitionSystem &sys,
         }
         stat.k_past = static_cast<int>(ladder.k_past);
         stat.k_future = static_cast<int>(ladder.k_future);
+        if (fast_forward) {
+            stat.status = "unsat";
+            result.windows.push_back(stat);
+            ladder.growPast(past_step);
+            continue;
+        }
         stat.solve_seconds = watch.seconds();
         if (synth.status == SynthesisResult::Status::Timeout) {
             stat.status = "timeout";
@@ -491,7 +433,7 @@ runEngine(const ir::TransitionSystem &sys,
             // No repair exists in this window: more past context.
             stat.status = "unsat";
             result.windows.push_back(stat);
-            ladder.growPast(cfg);
+            ladder.growPast(past_step);
             continue;
         }
         stat.status = "sat";
@@ -524,7 +466,7 @@ runEngine(const ir::TransitionSystem &sys,
             // Missing future context: include the new failure cycle.
             ladder.growFuture(latest_failure);
         } else {
-            ladder.growPast(cfg);
+            ladder.growPast(past_step);
         }
     }
 }

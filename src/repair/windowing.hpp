@@ -27,6 +27,14 @@
 
 namespace rtlrepair::repair {
 
+/** Paper: the engine gives up on windows beyond 32 cycles. */
+constexpr size_t kMaxWindow = 32;
+/** Paper: k_past grows in increments of two (halved once a window
+ *  solve faults). */
+constexpr size_t kPastStep = 2;
+/** Candidates the basic full-unroll synthesizer samples. */
+constexpr size_t kBasicMaxCandidates = 16;
+
 /**
  * Strategy configuration.  The adaptive engine keeps one incremental
  * RepairQuery across the whole window ladder: window growth encodes
@@ -35,10 +43,7 @@ namespace rtlrepair::repair {
 struct EngineConfig
 {
     bool adaptive = true;       ///< false = basic full unrolling
-    size_t max_window = 32;     ///< paper: give up beyond 32 cycles
-    size_t past_step = 2;       ///< paper: k_past increments of two
     size_t max_candidates = 4;  ///< paper: next window after 4 failures
-    size_t basic_max_candidates = 16;
     /** Label for stage reports / fault sites ("solve:<label>"). */
     std::string stage_label;
 };
@@ -130,18 +135,11 @@ struct WindowLadder
     /** Current window clamped to the trace. */
     Window window() const;
 
-    bool
-    exhausted(const EngineConfig &config) const
-    {
-        return k_past + k_future > config.max_window;
-    }
+    bool exhausted() const { return k_past + k_future > kMaxWindow; }
 
     /** No repair in window / all candidates fail at or before the
      *  original failure: a past state update must be wrong. */
-    void growPast(const EngineConfig &config)
-    {
-        k_past += config.past_step;
-    }
+    void growPast(size_t step) { k_past += step; }
 
     /** Some candidate fails strictly later: include that cycle. */
     void growFuture(size_t latest_failure);
@@ -160,7 +158,8 @@ struct WindowLadder
 class ConcreteRunner
 {
   public:
-    /** @p init one fully-known value per state. */
+    /** @p init one fully-known value per state.
+     *  @throws FatalError for a trace column that names no port. */
     ConcreteRunner(const ir::TransitionSystem &sys,
                    const trace::IoTrace &resolved,
                    std::vector<bv::Value> init);
@@ -199,16 +198,14 @@ class ConcreteRunner
 
     /** Replay the trace on @p interp from the initial states. */
     sim::ReplayResult replay(sim::Interpreter &interp);
-    void applyInputs(sim::Interpreter &interp, size_t cycle);
 
     const ir::TransitionSystem &_sys;
     const trace::IoTrace &_io;
     std::vector<bv::Value> _init;
+    sim::TraceBinding _bind;
     /** _sys with every synthesis variable zero (all φ off). */
     ir::TransitionSystem _off;
     sim::Interpreter _off_interp;  ///< runs _off
-    std::vector<int> _input_map;   ///< trace col -> input index
-    std::vector<int> _output_map;  ///< trace col -> output index
     /** All-off prefix-state snapshots, keyed by cycle. */
     std::map<size_t, std::vector<bv::Value>> _snapshots;
 };

@@ -17,10 +17,8 @@ namespace {
 constexpr int kMaxDeltaRounds = 200;
 } // namespace
 
-EventSimulator::EventSimulator(
-    const Module &mod, const std::vector<const Module *> &library,
-    std::string clock, bool reverse_order)
-    : _clock(std::move(clock))
+EventDesign::EventDesign(const Module &mod,
+                         const std::vector<const Module *> &library)
 {
     elaborate::ElaborateOptions opts;
     opts.library = library;
@@ -47,6 +45,13 @@ EventSimulator::EventSimulator(
             _cont_reads.push_back(std::move(reads));
         }
     }
+}
+
+EventSimulator::EventSimulator(
+    const Module &mod, const std::vector<const Module *> &library,
+    std::string clock, bool reverse_order)
+    : EventDesign(mod, library), _clock(std::move(clock))
+{
     if (reverse_order)
         std::reverse(_procs.begin(), _procs.end());
     powerOn();
@@ -94,19 +99,13 @@ EventSimulator::runInitialBlocks()
 void
 EventSimulator::setInput(const std::string &name, const Value &value)
 {
-    uint32_t w = _table.widthOf(name);
-    Value v = value;
-    if (v.width() < w)
-        v = v.zext(w);
-    else if (v.width() > w)
-        v = v.slice(w - 1, 0);
-    writeSignal(name, v);
+    writeSignal(name, value.resize(_table.widthOf(name)));
 }
 
-bool
-EventSimulator::hasSignal(const std::string &name) const
+void
+EventSimulator::setInput(size_t port, const Value &value)
 {
-    return _values.count(name) > 0;
+    setInput(_mod->ports[port].name, value);
 }
 
 Value
@@ -117,12 +116,13 @@ EventSimulator::get(const std::string &name) const
     return it->second;
 }
 
-Value
-EventSimulator::sampledOutput(const std::string &name) const
+const Value &
+EventSimulator::sampledOutput(size_t port) const
 {
-    auto it = _sampled.find(name);
-    check(it != _sampled.end(), "output was not sampled: " + name);
-    return it->second;
+    check(port < _sampled.size() &&
+              _mod->ports[port].dir == PortDir::Output,
+          "output was not sampled");
+    return _sampled[port];
 }
 
 void
@@ -143,25 +143,14 @@ EventSimulator::step()
         setInput(_clock, Value::fromUint(1, 0));
     settle();
     // Sample outputs before the rising edge.
-    _sampled.clear();
-    for (const auto &port : _mod->ports) {
-        if (port.dir == PortDir::Output)
-            _sampled[port.name] = get(port.name);
+    _sampled.resize(_mod->ports.size());
+    for (size_t i = 0; i < _mod->ports.size(); ++i) {
+        if (_mod->ports[i].dir == PortDir::Output)
+            _sampled[i] = get(_mod->ports[i].name);
     }
     if (!_clock.empty()) {
         setInput(_clock, Value::fromUint(1, 1));
         settle();
-    }
-}
-
-void
-EventSimulator::settleOnly()
-{
-    settle();
-    _sampled.clear();
-    for (const auto &port : _mod->ports) {
-        if (port.dir == PortDir::Output)
-            _sampled[port.name] = get(port.name);
     }
 }
 
@@ -311,11 +300,7 @@ EventSimulator::execStmt(const Stmt &stmt)
             subject = subject.zext(ctx);
         for (const auto &item : c.items) {
             for (const auto &label : item.labels) {
-                Value lv = evalExpr(*label, ctx);
-                if (lv.width() < ctx)
-                    lv = lv.zext(ctx);
-                else if (lv.width() > ctx)
-                    lv = lv.slice(ctx - 1, 0);
+                Value lv = evalExpr(*label, ctx).resize(ctx);
                 if (caseMatches(subject, lv, c.mode)) {
                     execStmt(*item.body);
                     return;
@@ -386,17 +371,9 @@ EventSimulator::execStmt(const Stmt &stmt)
         if (queued != _nba.end())
             target = queued->second;
         if (a.lhs->kind == Expr::Kind::Ident) {
-            uint32_t w = target.width();
-            if (rhs.width() < w)
-                rhs = rhs.zext(w);
-            else if (rhs.width() > w)
-                rhs = rhs.slice(w - 1, 0);
-            target = rhs;
+            target = rhs.resize(target.width());
         } else if (pos < target.width()) {
-            if (rhs.width() < width)
-                rhs = rhs.zext(width);
-            else if (rhs.width() > width)
-                rhs = rhs.slice(width - 1, 0);
+            rhs = rhs.resize(width);
             for (uint32_t b = 0;
                  b < width && pos + b < target.width(); ++b) {
                 target.setBit(pos + b, rhs.bit(b));
@@ -470,18 +447,10 @@ EventSimulator::assignNow(const Expr &lhs, Value value)
     if (pos >= full.width())
         return; // X/out-of-range index: no write
     if (lhs.kind == Expr::Kind::Ident) {
-        uint32_t w = full.width();
-        if (value.width() < w)
-            value = value.zext(w);
-        else if (value.width() > w)
-            value = value.slice(w - 1, 0);
-        writeSignal(name, value);
+        writeSignal(name, value.resize(full.width()));
         return;
     }
-    if (value.width() < width)
-        value = value.zext(width);
-    else if (value.width() > width)
-        value = value.slice(width - 1, 0);
+    value = value.resize(width);
     for (uint32_t b = 0; b < width && pos + b < full.width(); ++b)
         full.setBit(pos + b, value.bit(b));
     writeSignal(name, full);
@@ -577,11 +546,7 @@ EventSimulator::evalExpr(const Expr &expr, uint32_t ctx) const
         Value a = evalExpr(*t.then_expr, ctx);
         Value b = evalExpr(*t.else_expr, ctx);
         uint32_t w = std::max({a.width(), b.width(), ctx});
-        if (a.width() < w)
-            a = a.zext(w);
-        if (b.width() < w)
-            b = b.zext(w);
-        return Value::ite(cond, a, b);
+        return Value::ite(cond, a.resize(w), b.resize(w));
       }
       case Expr::Kind::Concat: {
         const auto &c = static_cast<const ConcatExpr &>(expr);
@@ -655,14 +620,8 @@ Value
 EventSimulator::evalBinary(const BinaryExpr &b, uint32_t ctx) const
 {
     auto harmonized = [&](uint32_t w, Value &x, Value &y) {
-        if (x.width() < w)
-            x = x.zext(w);
-        else if (x.width() > w)
-            x = x.slice(w - 1, 0);
-        if (y.width() < w)
-            y = y.zext(w);
-        else if (y.width() > w)
-            y = y.slice(w - 1, 0);
+        x = x.resize(w);
+        y = y.resize(w);
     };
 
     switch (b.op) {
@@ -703,12 +662,7 @@ EventSimulator::evalBinary(const BinaryExpr &b, uint32_t ctx) const
         Value lhs = evalExpr(*b.lhs, ctx);
         uint32_t w = std::max(lhs.width(), ctx);
         Value amount = evalExpr(*b.rhs, 0);
-        Value dummy = amount;
-        harmonized(w, lhs, dummy);
-        if (amount.width() < w)
-            amount = amount.zext(w);
-        else if (amount.width() > w)
-            amount = amount.slice(w - 1, 0);
+        harmonized(w, lhs, amount);
         switch (b.op) {
           case BinaryOp::Shl: return lhs.shl(amount);
           case BinaryOp::Shr: return lhs.lshr(amount);
@@ -741,37 +695,26 @@ EventSimulator::evalBinary(const BinaryExpr &b, uint32_t ctx) const
 ReplayResult
 eventReplay(const Module &mod,
             const std::vector<const Module *> &library,
-            const std::string &clock, const trace::IoTrace &io)
+            const std::string &clock, const trace::IoTrace &io,
+            bool reverse_order)
 {
-    ReplayResult result;
-    EventSimulator sim(mod, library, clock);
-    for (size_t cycle = 0; cycle < io.length(); ++cycle) {
-        for (size_t i = 0; i < io.inputs.size(); ++i) {
-            if (io.inputs[i].name == clock)
-                continue;
-            sim.setInput(io.inputs[i].name, io.input_rows[cycle][i]);
-        }
-        if (clock.empty())
-            sim.settleOnly();
-        else
-            sim.step();
+    EventSimulator sim(mod, library, clock, reverse_order);
+    TraceBinding bind(sim.flattened(), clock, io.inputs, io.outputs);
+    ReplayResult result{true, io.length(), {}};
+    runEventCycles(sim, bind, io.input_rows, io.length(), [&](size_t cycle) {
         if (sim.unstable()) {
-            result.passed = false;
-            result.first_failure = cycle;
-            result.failed_output = "<oscillation>";
-            return result;
+            result = {false, cycle, "<oscillation>"};
+            return false;
         }
-        for (size_t i = 0; i < io.outputs.size(); ++i) {
-            Value got = sim.sampledOutput(io.outputs[i].name);
-            if (!got.matches(io.output_rows[cycle][i])) {
-                result.passed = false;
-                result.first_failure = cycle;
-                result.failed_output = io.outputs[i].name;
-                return result;
+        for (size_t i = 0; i < bind.outputs.size(); ++i) {
+            if (!sim.sampledOutput(bind.outputs[i])
+                     .matches(io.output_rows[cycle][i])) {
+                result = {false, cycle, io.outputs[i].name};
+                return false;
             }
         }
-    }
-    result.first_failure = io.length();
+        return true;
+    });
     return result;
 }
 
@@ -780,31 +723,25 @@ eventRecord(const Module &mod,
             const std::vector<const Module *> &library,
             const std::string &clock, const trace::InputSequence &stim)
 {
+    EventSimulator sim(mod, library, clock);
     trace::IoTrace io;
     io.inputs = stim.inputs;
-    EventSimulator sim(mod, library, clock);
-    for (const auto &port : mod.ports) {
+    for (const auto &port : sim.flattened().ports) {
         if (port.dir == PortDir::Output) {
             io.outputs.push_back(trace::Column{
                 port.name, sim.get(port.name).width()});
         }
     }
-    for (size_t cycle = 0; cycle < stim.length(); ++cycle) {
-        for (size_t i = 0; i < stim.inputs.size(); ++i) {
-            if (stim.inputs[i].name == clock)
-                continue;
-            sim.setInput(stim.inputs[i].name, stim.rows[cycle][i]);
-        }
-        if (clock.empty())
-            sim.settleOnly();
-        else
-            sim.step();
-        io.input_rows.push_back(stim.rows[cycle]);
-        std::vector<Value> out_row;
-        for (const auto &col : io.outputs)
-            out_row.push_back(sim.sampledOutput(col.name));
-        io.output_rows.push_back(std::move(out_row));
-    }
+    TraceBinding bind(sim.flattened(), clock, io.inputs, io.outputs);
+    io.input_rows = stim.rows;
+    runEventCycles(sim, bind, stim.rows, stim.length(), [&](size_t) {
+        std::vector<Value> row;
+        row.reserve(bind.outputs.size());
+        for (size_t port : bind.outputs)
+            row.push_back(sim.sampledOutput(port));
+        io.output_rows.push_back(std::move(row));
+        return true;
+    });
     return io;
 }
 

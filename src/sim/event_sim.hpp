@@ -30,12 +30,43 @@
 #include "analysis/process_info.hpp"
 #include "analysis/widths.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/replay.hpp"
 #include "verilog/ast.hpp"
 
 namespace rtlrepair::sim {
 
+/**
+ * A module prepared for event-driven simulation, shared by the scalar
+ * and the vectorized simulator: instances flattened, for-loops
+ * unrolled, each continuous assign with the signals it reads.
+ */
+class EventDesign
+{
+  public:
+    /** The design with its instances flattened; TraceBinding binds
+     *  trace columns to its ports. */
+    const verilog::Module &flattened() const { return *_mod; }
+
+  protected:
+    EventDesign(const verilog::Module &mod,
+                const std::vector<const verilog::Module *> &library);
+
+    struct Proc
+    {
+        const verilog::AlwaysBlock *block;
+        analysis::ProcessInfo info;
+        verilog::StmtPtr body;  ///< for-loops unrolled
+    };
+
+    std::unique_ptr<verilog::Module> _mod;
+    analysis::SymbolTable _table;
+    std::vector<Proc> _procs;
+    std::vector<const verilog::ContAssign *> _cont_assigns;
+    std::vector<std::set<std::string>> _cont_reads;
+};
+
 /** Interprets a (flattened) module with event-driven semantics. */
-class EventSimulator
+class EventSimulator : public EventDesign
 {
   public:
     /**
@@ -60,37 +91,30 @@ class EventSimulator
 
     /** Drive an input for the current cycle. */
     void setInput(const std::string &name, const bv::Value &value);
+    /** Drive input port @p port of flattened() (TraceBinding's
+     *  port index). */
+    void setInput(size_t port, const bv::Value &value);
 
     /**
      * One clock cycle: settle combinational logic with clk low, then
      * raise the clock, run triggered processes, apply NBAs, settle.
      * Outputs sampled *before* the edge are available via
-     * sampledOutput() — this matches the I/O-trace convention.
+     * sampledOutput() — this matches the I/O-trace convention.  With
+     * no clock (a combinational design) it only settles and samples.
      */
     void step();
-
-    /** Settle only (no clock edge) — for combinational designs. */
-    void settleOnly();
 
     /** Value of a signal right now. */
     bv::Value get(const std::string &name) const;
 
-    /** Output value sampled before the most recent clock edge. */
-    bv::Value sampledOutput(const std::string &name) const;
-
-    bool hasSignal(const std::string &name) const;
+    /** Value of output port @p port of flattened(), sampled before
+     *  the most recent clock edge. */
+    const bv::Value &sampledOutput(size_t port) const;
 
     /** Oscillation detected (comb loop in simulation semantics). */
     bool unstable() const { return _unstable; }
 
   private:
-    struct Proc
-    {
-        const verilog::AlwaysBlock *block;
-        analysis::ProcessInfo info;
-        verilog::StmtPtr body;  ///< for-loops unrolled
-    };
-
     void runInitialBlocks();
     void settle();
     void runProcess(const Proc &proc);
@@ -105,32 +129,48 @@ class EventSimulator
     bool caseMatches(const bv::Value &subject, const bv::Value &label,
                      verilog::CaseStmt::Mode mode) const;
 
-    std::unique_ptr<verilog::Module> _mod;
-    analysis::SymbolTable _table;
     std::string _clock;
-    std::vector<Proc> _procs;
-    std::vector<const verilog::ContAssign *> _cont_assigns;
-    std::vector<std::set<std::string>> _cont_reads;
-
     std::map<std::string, bv::Value> _values;
     std::map<std::string, bv::Value> _prev;  ///< for edge detection
     std::set<std::string> _changed;
     /** NBA queue: full-signal final values. */
     std::map<std::string, bv::Value> _nba;
-    std::map<std::string, bv::Value> _sampled;
+    std::vector<bv::Value> _sampled;  ///< per port; outputs only
     bool _unstable = false;
 };
 
 /**
+ * The event simulators' cycle loop: for each of the first @p cycles
+ * @p rows, drive the row into @p sim through @p bind, run one clock
+ * cycle, then call @p sampled(cycle); a false return stops the loop.
+ */
+template <class Sampled>
+void
+runEventCycles(EventSimulator &sim, const TraceBinding &bind,
+               const std::vector<std::vector<bv::Value>> &rows,
+               size_t cycles, Sampled &&sampled)
+{
+    for (size_t cycle = 0; cycle < cycles; ++cycle) {
+        bind.applyInputs(sim, rows[cycle]);
+        sim.step();
+        if (!sampled(cycle))
+            return;
+    }
+}
+
+/**
  * Replay @p io against an event-driven simulation of @p mod; outputs
  * are checked each cycle before the clock edge.  @p clock may be
- * empty for purely combinational designs.
+ * empty for purely combinational designs; @p reverse_order is as for
+ * EventSimulator.  An oscillating cycle fails with failed_output
+ * "<oscillation>".
  */
 ReplayResult eventReplay(const verilog::Module &mod,
                          const std::vector<const verilog::Module *>
                              &library,
                          const std::string &clock,
-                         const trace::IoTrace &io);
+                         const trace::IoTrace &io,
+                         bool reverse_order = false);
 
 /** Record a golden trace with event-driven semantics. */
 trace::IoTrace eventRecord(const verilog::Module &mod,

@@ -55,13 +55,10 @@ Interpreter::setInput(size_t index, const Value &value)
     check(index < _input_vals.size(), "input index out of range");
     // Tolerate width mismatches (bugs can change port widths):
     // zero-extend or truncate like a Verilog connection would.
-    Value v = value;
-    uint32_t want = _sys.inputs[index].width;
-    if (v.width() < want)
-        v = v.zext(want);
-    else if (v.width() > want)
-        v = v.slice(want - 1, 0);
-    _input_vals[index] = applyPolicy(v, _options.input_policy);
+    Value &slot = _input_vals[index];
+    slot = value.resize(_sys.inputs[index].width);
+    if (slot.hasX())
+        slot = applyPolicy(slot, _options.input_policy);
     _cycle_valid = false;
 }
 
@@ -170,85 +167,24 @@ Interpreter::stateValue(size_t index) const
 ReplayResult
 replay(Interpreter &interp, const trace::IoTrace &io)
 {
-    const auto &sys = interp.system();
-
-    // Pre-resolve column indices.
-    std::vector<int> input_map(io.inputs.size());
-    for (size_t i = 0; i < io.inputs.size(); ++i) {
-        input_map[i] = sys.inputIndex(io.inputs[i].name);
-        check(input_map[i] >= 0,
-              "trace input not found in design: " + io.inputs[i].name);
-    }
-    std::vector<int> output_map(io.outputs.size());
-    for (size_t i = 0; i < io.outputs.size(); ++i) {
-        output_map[i] = sys.outputIndex(io.outputs[i].name);
-        check(output_map[i] >= 0,
-              "trace output not found in design: " +
-                  io.outputs[i].name);
-    }
-
+    TraceBinding bind(interp.system(), io.inputs, io.outputs);
     interp.reset();
-    ReplayResult result;
-    for (size_t cycle = 0; cycle < io.length(); ++cycle) {
-        for (size_t i = 0; i < input_map.size(); ++i) {
-            interp.setInput(static_cast<size_t>(input_map[i]),
-                            io.input_rows[cycle][i]);
-        }
-        interp.evalCycle();
-        for (size_t i = 0; i < output_map.size(); ++i) {
-            const Value &expected = io.output_rows[cycle][i];
-            const Value &got =
-                interp.output(static_cast<size_t>(output_map[i]));
-            if (!got.matches(expected)) {
-                result.passed = false;
-                result.first_failure = cycle;
-                result.failed_output = io.outputs[i].name;
-                return result;
-            }
-        }
-        interp.step();
-    }
-    result.first_failure = io.length();
-    return result;
+    return replayCycles(interp, bind, io);
 }
 
 trace::IoTrace
 record(const ir::TransitionSystem &golden,
        const trace::InputSequence &stim, SimOptions options)
 {
+    std::vector<trace::Column> outputs;
+    for (const auto &out : golden.outputs)
+        outputs.push_back(trace::Column{out.name, golden.width(out.ref)});
+    TraceBinding bind(golden, stim.inputs, outputs);
     Interpreter interp(golden, options);
-
-    trace::IoTrace io;
-    io.inputs = stim.inputs;
-    for (const auto &out : golden.outputs) {
-        uint32_t width = golden.width(out.ref);
-        io.outputs.push_back(trace::Column{out.name, width});
-    }
-
-    std::vector<int> input_map(stim.inputs.size());
-    for (size_t i = 0; i < stim.inputs.size(); ++i) {
-        input_map[i] = golden.inputIndex(stim.inputs[i].name);
-        check(input_map[i] >= 0,
-              "stimulus input not found in design: " +
-                  stim.inputs[i].name);
-    }
-
+    // Reset again, as replay() does on a fresh interpreter, so a
+    // Random init policy draws the start state a replay would.
     interp.reset();
-    for (size_t cycle = 0; cycle < stim.length(); ++cycle) {
-        for (size_t i = 0; i < input_map.size(); ++i) {
-            interp.setInput(static_cast<size_t>(input_map[i]),
-                            stim.rows[cycle][i]);
-        }
-        interp.evalCycle();
-        io.input_rows.push_back(stim.rows[cycle]);
-        std::vector<Value> out_row;
-        out_row.reserve(golden.outputs.size());
-        for (size_t i = 0; i < golden.outputs.size(); ++i)
-            out_row.push_back(interp.output(i));
-        io.output_rows.push_back(std::move(out_row));
-        interp.step();
-    }
-    return io;
+    return recordCycles(interp, bind, stim, std::move(outputs));
 }
 
 } // namespace rtlrepair::sim

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ir/transition_system.hpp"
+#include "sim/replay.hpp"
 #include "trace/io_trace.hpp"
 #include "util/rng.hpp"
 
@@ -83,21 +84,10 @@ class Interpreter
     bool _cycle_valid = false;
 };
 
-/** Result of replaying an I/O trace against a design. */
-struct ReplayResult
-{
-    bool passed = true;
-    /** First cycle with an output mismatch (trace length if none). */
-    size_t first_failure = 0;
-    std::string failed_output;
-
-    /** Per-cycle match status is implied: failure stops the replay. */
-};
-
 /**
  * Reset @p interp and replay @p trace, comparing outputs each cycle.
  * Stops at the first mismatch.  Input/output columns are matched to
- * the system's ports by name; missing columns are an error.
+ * the system's ports by name (see TraceBinding).
  */
 ReplayResult replay(Interpreter &interp, const trace::IoTrace &io);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/const_eval.hpp"
-#include "elaborate/elaborate.hpp"
 #include "util/logging.hpp"
 #include "verilog/ast_util.hpp"
 
@@ -40,42 +39,16 @@ adjustWidth(PackedValue v, uint32_t w)
 VecEventSimulator::VecEventSimulator(
     const Module &mod, const std::vector<const Module *> &library,
     std::string clock, uint32_t nlanes)
-    : _clock(std::move(clock)), _nlanes(nlanes)
+    : EventDesign(mod, library), _clock(std::move(clock))
 {
     check(nlanes >= 1 && nlanes <= PackedValue::kLanes,
           "lane count out of range");
     _all = nlanes == 64 ? ~0ull : ((1ull << nlanes) - 1ull);
-
-    elaborate::ElaborateOptions opts;
-    opts.library = library;
-    _mod = elaborate::flattenHierarchy(mod, opts);
-    _table = analysis::SymbolTable::build(*_mod);
     for (const auto &[name, range] : _table.nets()) {
         if (range.width > kMaxVecNetWidth) {
             throw VecUnsupported("net too wide for vectorized "
                                  "simulation: " +
                                  name);
-        }
-    }
-
-    for (const auto &item : _mod->items) {
-        if (item->kind == Item::Kind::Always) {
-            const auto &blk = static_cast<const AlwaysBlock &>(*item);
-            Proc proc;
-            proc.block = &blk;
-            proc.info = analysis::analyzeProcess(blk);
-            proc.body = blk.body->clone();
-            analysis::unrollFors(proc.body, _table.params());
-            _procs.push_back(std::move(proc));
-        } else if (item->kind == Item::Kind::ContAssign) {
-            const auto *assign =
-                static_cast<const ContAssign *>(item.get());
-            _cont_assigns.push_back(assign);
-            std::set<std::string> reads;
-            collectIdents(*assign->rhs, reads);
-            if (assign->lhs->kind != Expr::Kind::Ident)
-                collectIdents(*assign->lhs, reads);
-            _cont_reads.push_back(std::move(reads));
         }
     }
     powerOn();
@@ -142,12 +115,12 @@ VecEventSimulator::get(const std::string &name) const
 }
 
 const PackedValue &
-VecEventSimulator::sampledOutput(const std::string &name) const
+VecEventSimulator::sampledOutput(size_t port) const
 {
-    auto it = _sampled.find(name);
-    if (it == _sampled.end())
-        panic("output was not sampled: " + name);
-    return it->second;
+    check(port < _sampled.size() &&
+              _mod->ports[port].dir == PortDir::Output,
+          "output was not sampled");
+    return _sampled[port];
 }
 
 uint32_t
@@ -183,25 +156,14 @@ VecEventSimulator::step()
     if (!_clock.empty())
         setInput(_clock, clk0, _all);
     settle();
-    _sampled.clear();
-    for (const auto &port : _mod->ports) {
-        if (port.dir == PortDir::Output)
-            _sampled.emplace(port.name, get(port.name));
+    _sampled.resize(_mod->ports.size());
+    for (size_t i = 0; i < _mod->ports.size(); ++i) {
+        if (_mod->ports[i].dir == PortDir::Output)
+            _sampled[i] = get(_mod->ports[i].name);
     }
     if (!_clock.empty()) {
         setInput(_clock, clk1, _all);
         settle();
-    }
-}
-
-void
-VecEventSimulator::settleOnly()
-{
-    settle();
-    _sampled.clear();
-    for (const auto &port : _mod->ports) {
-        if (port.dir == PortDir::Output)
-            _sampled.emplace(port.name, get(port.name));
     }
 }
 
@@ -706,11 +668,8 @@ VecEventSimulator::evalExpr(const Expr &expr, uint32_t ctx) const
         PackedValue a = evalExpr(*t.then_expr, ctx);
         PackedValue b = evalExpr(*t.else_expr, ctx);
         uint32_t w = std::max({a.width(), b.width(), ctx});
-        if (a.width() < w)
-            a = a.zext(w);
-        if (b.width() < w)
-            b = b.zext(w);
-        return PackedValue::ite(cond, a, b);
+        return PackedValue::ite(cond, adjustWidth(std::move(a), w),
+                                adjustWidth(std::move(b), w));
       }
       case Expr::Kind::Concat: {
         const auto &c = static_cast<const ConcatExpr &>(expr);
@@ -876,70 +835,117 @@ sameColumns(const std::vector<trace::Column> &a,
     return true;
 }
 
-/** Replay one <=64-lane chunk; @throws VecUnsupported. */
+/** Can @p a and @p b share one vectorized chunk? */
+bool
+sameShape(const trace::IoTrace &a, const trace::IoTrace &b)
+{
+    return sameColumns(a.inputs, b.inputs) &&
+           sameColumns(a.outputs, b.outputs);
+}
+
+bool
+sameShape(const trace::InputSequence &a, const trace::InputSequence &b)
+{
+    return sameColumns(a.inputs, b.inputs);
+}
+
+const std::vector<std::vector<Value>> &
+inputRows(const trace::IoTrace &io)
+{
+    return io.input_rows;
+}
+
+const std::vector<std::vector<Value>> &
+inputRows(const trace::InputSequence &stim)
+{
+    return stim.rows;
+}
+
+/**
+ * The vectorized cycle loop over one <=64-lane chunk: lane l drives
+ * the input rows of @p traces[l] through @p bind.  After each cycle's
+ * outputs are sampled, @p sampled(cycle, active) returns the lanes
+ * that stop there; a lane also stops after its last row.
+ */
+template <class Trace, class Sampled>
 void
-vecReplayChunk(const Module &mod,
-               const std::vector<const Module *> &library,
-               const std::string &clock,
-               const std::vector<const trace::IoTrace *> &traces,
-               ReplayResult *out)
+runChunk(VecEventSimulator &sim, const TraceBinding &bind,
+         const std::vector<const Trace *> &traces, Sampled &&sampled)
 {
     uint32_t n = static_cast<uint32_t>(traces.size());
-    VecEventSimulator sim(mod, library, clock, n);
+    const auto &ports = sim.flattened().ports;
     std::vector<size_t> len(n);
     size_t max_len = 0;
     uint64_t done = 0;
     for (uint32_t l = 0; l < n; ++l) {
         len[l] = traces[l]->length();
         max_len = std::max(max_len, len[l]);
-        if (len[l] == 0) {
-            out[l].first_failure = 0; // passed, empty trace
+        if (len[l] == 0)
             done |= 1ull << l;
-        }
     }
     sim.freezeLanes(done);
 
-    const auto &in_cols = traces[0]->inputs;
-    const auto &out_cols = traces[0]->outputs;
     std::vector<const Value *> vptr(n, nullptr);
     for (size_t cycle = 0; cycle < max_len; ++cycle) {
         uint64_t active = sim.allLanes() & ~done;
         if (!active)
             break;
-        for (size_t i = 0; i < in_cols.size(); ++i) {
-            if (in_cols[i].name == clock)
+        for (size_t i = 0; i < bind.inputs.size(); ++i) {
+            if (bind.inputs[i] == TraceBinding::kUnbound)
                 continue;
-            uint32_t w = sim.widthOf(in_cols[i].name);
+            const std::string &name = ports[bind.inputs[i]].name;
             for (uint32_t l = 0; l < n; ++l) {
                 vptr[l] = cycle < len[l]
-                              ? &traces[l]->input_rows[cycle][i]
+                              ? &inputRows(*traces[l])[cycle][i]
                               : nullptr;
             }
-            sim.setInput(in_cols[i].name,
-                         PackedValue::pack(vptr.data(), n, w), active);
+            sim.setInput(name,
+                         PackedValue::pack(vptr.data(), n,
+                                           sim.widthOf(name)),
+                         active);
         }
-        if (clock.empty())
-            sim.settleOnly();
-        else
-            sim.step();
-        uint64_t unstable = sim.unstableLanes() & active;
-        if (unstable) {
-            for (uint32_t l = 0; l < n; ++l) {
-                if (!((unstable >> l) & 1))
-                    continue;
-                out[l].passed = false;
-                out[l].first_failure = cycle;
-                out[l].failed_output = "<oscillation>";
-            }
-            done |= unstable;
-            sim.freezeLanes(unstable);
-            active &= ~unstable;
+        sim.step();
+        uint64_t stopped = sampled(cycle, active);
+        for (uint32_t l = 0; l < n; ++l) {
+            if (((active >> l) & 1) && cycle + 1 == len[l])
+                stopped |= 1ull << l;
         }
-        for (size_t i = 0; i < out_cols.size() && active; ++i) {
-            const PackedValue &got = sim.sampledOutput(out_cols[i].name);
+        done |= stopped;
+        sim.freezeLanes(stopped);
+    }
+}
+
+/** Replay one <=64-lane chunk; @throws VecUnsupported. */
+void
+vecChunk(const Module &mod, const std::vector<const Module *> &library,
+         const std::string &clock,
+         const std::vector<const trace::IoTrace *> &traces,
+         ReplayResult *out)
+{
+    uint32_t n = static_cast<uint32_t>(traces.size());
+    VecEventSimulator sim(mod, library, clock, n);
+    const auto &out_cols = traces[0]->outputs;
+    TraceBinding bind(sim.flattened(), clock, traces[0]->inputs,
+                      out_cols);
+    for (uint32_t l = 0; l < n; ++l)
+        out[l].first_failure = traces[l]->length(); // passed
+    auto fail = [&](uint64_t lanes, size_t cycle,
+                    const std::string &output) {
+        for (uint32_t l = 0; l < n; ++l) {
+            if ((lanes >> l) & 1)
+                out[l] = {false, cycle, output};
+        }
+    };
+    std::vector<const Value *> vptr(n, nullptr);
+    runChunk(sim, bind, traces, [&](size_t cycle, uint64_t active) {
+        uint64_t stopped = sim.unstableLanes() & active;
+        fail(stopped, cycle, "<oscillation>");
+        active &= ~stopped;
+        for (size_t i = 0; i < bind.outputs.size() && active; ++i) {
+            const PackedValue &got = sim.sampledOutput(bind.outputs[i]);
             uint32_t w = got.width();
             for (uint32_t l = 0; l < n; ++l) {
-                if (cycle < len[l]) {
+                if (cycle < traces[l]->length()) {
                     vptr[l] = &traces[l]->output_rows[cycle][i];
                     w = std::max(w, vptr[l]->width());
                 } else {
@@ -948,101 +954,122 @@ vecReplayChunk(const Module &mod,
             }
             PackedValue expected = PackedValue::pack(vptr.data(), n, w);
             uint64_t mismatch = active & ~got.laneMatches(expected);
-            if (!mismatch)
-                continue;
-            for (uint32_t l = 0; l < n; ++l) {
-                if (!((mismatch >> l) & 1))
-                    continue;
-                out[l].passed = false;
-                out[l].first_failure = cycle;
-                out[l].failed_output = out_cols[i].name;
-            }
-            done |= mismatch;
-            sim.freezeLanes(mismatch);
+            fail(mismatch, cycle, out_cols[i].name);
+            stopped |= mismatch;
             active &= ~mismatch;
         }
-        uint64_t finished = 0;
-        for (uint32_t l = 0; l < n; ++l) {
-            if (((active >> l) & 1) && cycle + 1 == len[l]) {
-                finished |= 1ull << l;
-                out[l].first_failure = len[l]; // passed
-            }
-        }
-        done |= finished;
-        sim.freezeLanes(finished);
-    }
+        return stopped;
+    });
 }
 
 /** Record one <=64-lane chunk; @throws VecUnsupported. */
 void
-vecRecordChunk(const Module &mod,
-               const std::vector<const Module *> &library,
-               const std::string &clock,
-               const std::vector<const trace::InputSequence *> &stims,
-               trace::IoTrace *out)
+vecChunk(const Module &mod, const std::vector<const Module *> &library,
+         const std::string &clock,
+         const std::vector<const trace::InputSequence *> &stims,
+         trace::IoTrace *out)
 {
     uint32_t n = static_cast<uint32_t>(stims.size());
     VecEventSimulator sim(mod, library, clock, n);
     std::vector<trace::Column> out_cols;
-    for (const auto &port : mod.ports) {
-        if (port.dir == PortDir::Output) {
-            out_cols.push_back(trace::Column{
-                port.name, sim.get(port.name).width()});
-        }
+    for (const auto &port : sim.flattened().ports) {
+        if (port.dir == PortDir::Output)
+            out_cols.push_back(
+                trace::Column{port.name, sim.get(port.name).width()});
     }
-    std::vector<size_t> len(n);
-    size_t max_len = 0;
-    uint64_t done = 0;
+    TraceBinding bind(sim.flattened(), clock, stims[0]->inputs,
+                      out_cols);
     for (uint32_t l = 0; l < n; ++l) {
         out[l].inputs = stims[l]->inputs;
         out[l].outputs = out_cols;
-        len[l] = stims[l]->length();
-        max_len = std::max(max_len, len[l]);
-        if (len[l] == 0)
-            done |= 1ull << l;
     }
-    sim.freezeLanes(done);
-
-    const auto &in_cols = stims[0]->inputs;
-    std::vector<const Value *> vptr(n, nullptr);
     std::vector<const PackedValue *> samples(out_cols.size());
-    for (size_t cycle = 0; cycle < max_len; ++cycle) {
-        uint64_t active = sim.allLanes() & ~done;
-        if (!active)
-            break;
-        for (size_t i = 0; i < in_cols.size(); ++i) {
-            if (in_cols[i].name == clock)
-                continue;
-            uint32_t w = sim.widthOf(in_cols[i].name);
-            for (uint32_t l = 0; l < n; ++l) {
-                vptr[l] = cycle < len[l] ? &stims[l]->rows[cycle][i]
-                                         : nullptr;
-            }
-            sim.setInput(in_cols[i].name,
-                         PackedValue::pack(vptr.data(), n, w), active);
-        }
-        if (clock.empty())
-            sim.settleOnly();
-        else
-            sim.step();
-        for (size_t i = 0; i < out_cols.size(); ++i)
-            samples[i] = &sim.sampledOutput(out_cols[i].name);
-        uint64_t finished = 0;
+    runChunk(sim, bind, stims, [&](size_t cycle, uint64_t active) {
+        for (size_t i = 0; i < samples.size(); ++i)
+            samples[i] = &sim.sampledOutput(bind.outputs[i]);
         for (uint32_t l = 0; l < n; ++l) {
             if (!((active >> l) & 1))
                 continue;
             out[l].input_rows.push_back(stims[l]->rows[cycle]);
             std::vector<Value> row;
             row.reserve(samples.size());
-            for (const PackedValue *s : samples)
-                row.push_back(s->lane(l));
+            for (const PackedValue *sample : samples)
+                row.push_back(sample->lane(l));
             out[l].output_rows.push_back(std::move(row));
-            if (cycle + 1 == len[l])
-                finished |= 1ull << l;
         }
-        done |= finished;
-        sim.freezeLanes(finished);
+        return uint64_t{0};
+    });
+}
+
+/** @name The scalar simulator's run of one trace. @{ */
+ReplayResult
+scalarRun(const Module &mod, const std::vector<const Module *> &library,
+          const std::string &clock, const trace::IoTrace &io)
+{
+    return eventReplay(mod, library, clock, io);
+}
+
+trace::IoTrace
+scalarRun(const Module &mod, const std::vector<const Module *> &library,
+          const std::string &clock, const trace::InputSequence &stim)
+{
+    return eventRecord(mod, library, clock, stim);
+}
+/** @} */
+
+/**
+ * Run @p traces through the vectorized simulator 64 lanes at a time;
+ * a chunk whose traces differ in column structure, or whose design
+ * throws VecUnsupported, runs on the scalar simulator.
+ */
+template <class Out, class Trace>
+std::vector<Out>
+vecBatch(const Module &mod, const std::vector<const Module *> &library,
+         const std::string &clock,
+         const std::vector<const Trace *> &traces)
+{
+    std::vector<Out> out(traces.size());
+    for (size_t base = 0; base < traces.size();
+         base += PackedValue::kLanes) {
+        size_t n = std::min<size_t>(PackedValue::kLanes,
+                                    traces.size() - base);
+        std::vector<const Trace *> chunk(traces.begin() + base,
+                                         traces.begin() + base + n);
+        bool compatible = true;
+        for (size_t i = 1; i < n; ++i)
+            compatible = compatible && sameShape(*chunk[i], *chunk[0]);
+        if (compatible) {
+            try {
+                vecChunk(mod, library, clock, chunk, out.data() + base);
+                continue;
+            } catch (const VecUnsupported &) {
+                // fall through to the scalar simulator
+            }
+        }
+        for (size_t i = 0; i < n; ++i)
+            out[base + i] = scalarRun(mod, library, clock, *chunk[i]);
     }
+    return out;
+}
+
+/** The vectorized backend for batches, unless Event is requested or
+ *  Auto meets a single trace. */
+template <class Out, class Trace>
+std::vector<Out>
+dispatchBatch(SimBackend backend, const Module &mod,
+              const std::vector<const Module *> &library,
+              const std::string &clock,
+              const std::vector<const Trace *> &traces)
+{
+    SimBackend resolved = resolveSimBackend(backend);
+    if (resolved == SimBackend::Vec ||
+        (resolved == SimBackend::Auto && traces.size() > 1))
+        return vecBatch<Out>(mod, library, clock, traces);
+    std::vector<Out> out;
+    out.reserve(traces.size());
+    for (const Trace *t : traces)
+        out.push_back(scalarRun(mod, library, clock, *t));
+    return out;
 }
 
 } // namespace
@@ -1053,34 +1080,7 @@ vecEventReplayBatch(const Module &mod,
                     const std::string &clock,
                     const std::vector<const trace::IoTrace *> &traces)
 {
-    std::vector<ReplayResult> out(traces.size());
-    for (size_t base = 0; base < traces.size();
-         base += PackedValue::kLanes) {
-        size_t n = std::min<size_t>(PackedValue::kLanes,
-                                    traces.size() - base);
-        std::vector<const trace::IoTrace *> chunk(
-            traces.begin() + base, traces.begin() + base + n);
-        bool compatible = true;
-        for (size_t i = 1; i < n; ++i) {
-            compatible = compatible &&
-                         sameColumns(chunk[i]->inputs,
-                                     chunk[0]->inputs) &&
-                         sameColumns(chunk[i]->outputs,
-                                     chunk[0]->outputs);
-        }
-        if (compatible) {
-            try {
-                vecReplayChunk(mod, library, clock, chunk,
-                               out.data() + base);
-                continue;
-            } catch (const VecUnsupported &) {
-                // fall through to the scalar simulator
-            }
-        }
-        for (size_t i = 0; i < n; ++i)
-            out[base + i] = eventReplay(mod, library, clock, *chunk[i]);
-    }
-    return out;
+    return vecBatch<ReplayResult>(mod, library, clock, traces);
 }
 
 std::vector<trace::IoTrace>
@@ -1089,31 +1089,7 @@ vecEventRecordBatch(
     const std::string &clock,
     const std::vector<const trace::InputSequence *> &stims)
 {
-    std::vector<trace::IoTrace> out(stims.size());
-    for (size_t base = 0; base < stims.size();
-         base += PackedValue::kLanes) {
-        size_t n = std::min<size_t>(PackedValue::kLanes,
-                                    stims.size() - base);
-        std::vector<const trace::InputSequence *> chunk(
-            stims.begin() + base, stims.begin() + base + n);
-        bool compatible = true;
-        for (size_t i = 1; i < n; ++i) {
-            compatible = compatible && sameColumns(chunk[i]->inputs,
-                                                   chunk[0]->inputs);
-        }
-        if (compatible) {
-            try {
-                vecRecordChunk(mod, library, clock, chunk,
-                               out.data() + base);
-                continue;
-            } catch (const VecUnsupported &) {
-                // fall through to the scalar simulator
-            }
-        }
-        for (size_t i = 0; i < n; ++i)
-            out[base + i] = eventRecord(mod, library, clock, *chunk[i]);
-    }
-    return out;
+    return vecBatch<trace::IoTrace>(mod, library, clock, stims);
 }
 
 ReplayResult
@@ -1121,9 +1097,7 @@ replayTrace(SimBackend backend, const Module &mod,
             const std::vector<const Module *> &library,
             const std::string &clock, const trace::IoTrace &io)
 {
-    if (resolveSimBackend(backend) == SimBackend::Vec)
-        return vecEventReplayBatch(mod, library, clock, {&io})[0];
-    return eventReplay(mod, library, clock, io);
+    return replayTraceBatch(backend, mod, library, clock, {&io})[0];
 }
 
 trace::IoTrace
@@ -1131,9 +1105,8 @@ recordTrace(SimBackend backend, const Module &mod,
             const std::vector<const Module *> &library,
             const std::string &clock, const trace::InputSequence &stim)
 {
-    if (resolveSimBackend(backend) == SimBackend::Vec)
-        return vecEventRecordBatch(mod, library, clock, {&stim})[0];
-    return eventRecord(mod, library, clock, stim);
+    return std::move(
+        recordTraceBatch(backend, mod, library, clock, {&stim})[0]);
 }
 
 std::vector<ReplayResult>
@@ -1142,16 +1115,8 @@ replayTraceBatch(SimBackend backend, const Module &mod,
                  const std::string &clock,
                  const std::vector<const trace::IoTrace *> &traces)
 {
-    SimBackend resolved = resolveSimBackend(backend);
-    bool scalar = resolved == SimBackend::Event ||
-                  (resolved == SimBackend::Auto && traces.size() <= 1);
-    if (!scalar)
-        return vecEventReplayBatch(mod, library, clock, traces);
-    std::vector<ReplayResult> out;
-    out.reserve(traces.size());
-    for (const auto *io : traces)
-        out.push_back(eventReplay(mod, library, clock, *io));
-    return out;
+    return dispatchBatch<ReplayResult>(backend, mod, library, clock,
+                                       traces);
 }
 
 std::vector<trace::IoTrace>
@@ -1160,16 +1125,8 @@ recordTraceBatch(SimBackend backend, const Module &mod,
                  const std::string &clock,
                  const std::vector<const trace::InputSequence *> &stims)
 {
-    SimBackend resolved = resolveSimBackend(backend);
-    bool scalar = resolved == SimBackend::Event ||
-                  (resolved == SimBackend::Auto && stims.size() <= 1);
-    if (!scalar)
-        return vecEventRecordBatch(mod, library, clock, stims);
-    std::vector<trace::IoTrace> out;
-    out.reserve(stims.size());
-    for (const auto *stim : stims)
-        out.push_back(eventRecord(mod, library, clock, *stim));
-    return out;
+    return dispatchBatch<trace::IoTrace>(backend, mod, library, clock,
+                                         stims);
 }
 
 } // namespace rtlrepair::sim

@@ -52,7 +52,7 @@ struct VecUnsupported : std::runtime_error
 };
 
 /** Event-driven simulator evaluating up to 64 lanes at once. */
-class VecEventSimulator
+class VecEventSimulator : public EventDesign
 {
   public:
     /** @throws VecUnsupported for designs the backend cannot run. */
@@ -67,14 +67,14 @@ class VecEventSimulator
     void setInput(const std::string &name,
                   const bv::PackedValue &value, uint64_t mask);
 
-    /** One clock cycle for every live (unfrozen) lane. */
+    /** One clock cycle for every live (unfrozen) lane (settle only
+     *  for a combinational design). */
     void step();
 
-    /** Settle only (no clock edge) — for combinational designs. */
-    void settleOnly();
-
     bv::PackedValue get(const std::string &name) const;
-    const bv::PackedValue &sampledOutput(const std::string &name) const;
+    /** Output port @p port of flattened(), sampled before the most
+     *  recent clock edge. */
+    const bv::PackedValue &sampledOutput(size_t port) const;
 
     /** Declared width of a signal (for input packing). */
     uint32_t widthOf(const std::string &name) const;
@@ -88,17 +88,10 @@ class VecEventSimulator
      */
     void freezeLanes(uint64_t mask) { _frozen |= mask; }
 
-    uint32_t lanes() const { return _nlanes; }
     /** Mask with one bit per configured lane. */
     uint64_t allLanes() const { return _all; }
 
   private:
-    struct Proc
-    {
-        const verilog::AlwaysBlock *block;
-        analysis::ProcessInfo info;
-        verilog::StmtPtr body;  ///< for-loops unrolled
-    };
     struct Transition
     {
         uint64_t pose = 0, nege = 0, level = 0;
@@ -124,21 +117,15 @@ class VecEventSimulator
                        const bv::PackedValue &label,
                        verilog::CaseStmt::Mode mode) const;
 
-    std::unique_ptr<verilog::Module> _mod;
-    analysis::SymbolTable _table;
     std::string _clock;
-    uint32_t _nlanes;
     uint64_t _all;  ///< mask of configured lanes
-    std::vector<Proc> _procs;
-    std::vector<const verilog::ContAssign *> _cont_assigns;
-    std::vector<std::set<std::string>> _cont_reads;
 
     std::map<std::string, bv::PackedValue> _values;
     std::map<std::string, bv::PackedValue> _prev;  ///< edge detection
     std::map<std::string, uint64_t> _changed;      ///< per-lane masks
     std::map<std::string, bv::PackedValue> _nba;
     std::map<std::string, uint64_t> _nba_mask;
-    std::map<std::string, bv::PackedValue> _sampled;
+    std::vector<bv::PackedValue> _sampled;  ///< per port; outputs only
     uint64_t _unstable = 0;
     uint64_t _frozen = 0;
 };

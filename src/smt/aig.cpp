@@ -50,15 +50,12 @@ Aig::andOf(AigLit a, AigLit b)
     if (a > b)
         std::swap(a, b);
     uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    auto &bucket = _hash[key];
-    for (uint32_t n : bucket) {
-        if (_nodes[n].a == a && _nodes[n].b == b)
-            return n << 1;
-    }
-    uint32_t n = static_cast<uint32_t>(_nodes.size());
-    _nodes.push_back(Node{a, b});
-    bucket.push_back(n);
-    return n << 1;
+    // The key is the exact fan-in pair, so it names at most one node.
+    auto [it, fresh] =
+        _hash.try_emplace(key, static_cast<uint32_t>(_nodes.size()));
+    if (fresh)
+        _nodes.push_back(Node{a, b});
+    return it->second << 1;
 }
 
 AigLit

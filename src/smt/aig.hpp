@@ -58,9 +58,6 @@ class Aig
     AigLit mux(AigLit cond, AigLit then_l, AigLit else_l);
     /** @} */
 
-    /** Constant literal for a boolean. */
-    static AigLit constOf(bool b) { return b ? kAigTrue : kAigFalse; }
-
   private:
     struct Node
     {
@@ -70,7 +67,8 @@ class Aig
     static constexpr AigLit kVarMark = 0xffffffffu;
 
     std::vector<Node> _nodes;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> _hash;
+    /** (a, b) fan-in pair of an AND node -> its node index. */
+    std::unordered_map<uint64_t, uint32_t> _hash;
 };
 
 /** A word is a vector of AIG literals, LSB first. */

@@ -83,6 +83,13 @@ TEST(Aig, LocalSimplifications)
     AigLit b = aig.newVar();
     EXPECT_EQ(aig.andOf(a, b), aig.andOf(b, a))
         << "structural hashing is commutative";
+    size_t nodes = aig.numNodes();
+    AigLit ab = aig.andOf(a, aigNot(b));
+    EXPECT_EQ(aig.numNodes(), nodes + 1);
+    EXPECT_EQ(aig.andOf(a, aigNot(b)), ab);
+    EXPECT_EQ(aig.andOf(aigNot(b), a), ab);
+    EXPECT_EQ(aig.numNodes(), nodes + 1)
+        << "asking for an existing AND adds no node";
     EXPECT_EQ(aig.mux(kAigTrue, a, b), a);
     EXPECT_EQ(aig.mux(kAigFalse, a, b), b);
     EXPECT_EQ(aig.mux(a, b, b), b);

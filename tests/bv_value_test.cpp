@@ -112,6 +112,12 @@ TEST(Value, ZExtSExtSlice)
     EXPECT_EQ(v.sext(8).toUint64(), 0b11111010u);
     EXPECT_EQ(v.slice(3, 1).toUint64(), 0b101u);
     EXPECT_EQ(v.slice(0, 0).toUint64(), 0u);
+    EXPECT_EQ(v.resize(8), v.zext(8));
+    EXPECT_EQ(v.resize(3), v.slice(2, 0));
+    EXPECT_EQ(v.resize(4), v);
+    Value x = Value::parseVerilog("4'b1x01");
+    EXPECT_EQ(x.resize(6).toBinaryString(), "001x01");
+    EXPECT_EQ(x.resize(3).toBinaryString(), "x01");
 }
 
 TEST(Value, ConcatAndReplicate)

@@ -23,7 +23,7 @@ TEST(EventSim, CombinationalSettling)
     EventSimulator sim(file.top(), {}, "");
     sim.setInput("a", Value::fromUint(1, 1));
     sim.setInput("b", Value::fromUint(1, 0));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 1u);
     EXPECT_EQ(sim.get("z").toUint64(), 0u);
 }
@@ -86,15 +86,15 @@ TEST(EventSim, IncompleteSensitivityKeepsStaleValue)
     EventSimulator sim(file.top(), {}, "");
     sim.setInput("a", Value::fromUint(1, 1));
     sim.setInput("b", Value::fromUint(1, 1));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 1u);
     // b drops, but the process is not sensitive to b.
     sim.setInput("b", Value::fromUint(1, 0));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 1u) << "stale value held";
     // A change of a re-evaluates.
     sim.setInput("a", Value::fromUint(1, 0));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 0u);
 }
 
@@ -131,7 +131,7 @@ TEST(EventSim, IfWithXConditionTakesElse)
     )");
     EventSimulator sim(file.top(), {}, "");
     sim.setInput("go", Value::fromUint(1, 1));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 2u);
 }
 
@@ -150,13 +150,13 @@ TEST(EventSim, CaseZWildcards)
     )");
     EventSimulator sim(file.top(), {}, "");
     sim.setInput("s", Value::fromUint(4, 0b1010));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 3u);
     sim.setInput("s", Value::fromUint(4, 0b0110));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 2u);
     sim.setInput("s", Value::fromUint(4, 0b0010));
-    sim.settleOnly();
+    sim.step();
     EXPECT_EQ(sim.get("y").toUint64(), 0u);
 }
 
@@ -173,11 +173,11 @@ TEST(EventSim, OscillationIsDetected)
     )");
     EventSimulator sim(file.top(), {}, "");
     sim.setInput("en", Value::fromUint(1, 0));
-    sim.settleOnly();
+    sim.step();
     EXPECT_FALSE(sim.unstable());
     EXPECT_EQ(sim.get("p").toUint64(), 0u);
     sim.setInput("en", Value::fromUint(1, 1));
-    sim.settleOnly();
+    sim.step();
     EXPECT_TRUE(sim.unstable());
 }
 

@@ -22,8 +22,12 @@
 #include "bv/value.hpp"
 #include "sim/event_sim.hpp"
 #include "trace/io_trace.hpp"
+#include "registry_recordings.hpp"
 
 using namespace rtlrepair;
+using testsupport::Recording;
+using testsupport::recordingName;
+using testsupport::registryRecordings;
 
 namespace {
 
@@ -118,32 +122,42 @@ expectedDigests()
 
 } // namespace
 
-TEST(GoldenTrace, EventSimDigestsAreStable)
+// One case per golden recording (tests/registry_recordings.hpp): the
+// trace is recorded once and checked against the digest of every bug
+// that shares it.  The cases run as their own ctest shards.
+class RegistryRecording : public testing::TestWithParam<Recording>
+{
+};
+
+TEST_P(RegistryRecording, EventSimDigestIsStable)
 {
     const bool print = std::getenv("RTLREPAIR_PRINT_DIGESTS");
-    for (const auto &def : benchmarks::all()) {
-        SCOPED_TRACE(def.name);
-        trace::IoTrace tb = recordEventTrace(def);
-        ASSERT_GT(tb.length(), 0u);
-        uint64_t got = digest(tb);
+    trace::IoTrace tb = recordEventTrace(*GetParam().bugs.front());
+    ASSERT_GT(tb.length(), 0u);
+    uint64_t got = digest(tb);
+    for (const benchmarks::BenchmarkDef *def : GetParam().bugs) {
         if (print) {
             std::printf("        {\"%s\", 0x%016llxull},\n",
-                        def.name.c_str(),
+                        def->name.c_str(),
                         static_cast<unsigned long long>(got));
             continue;
         }
-        auto it = expectedDigests().find(def.name);
+        auto it = expectedDigests().find(def->name);
         if (it == expectedDigests().end()) {
-            ADD_FAILURE() << "no digest recorded for " << def.name
-                          << "; add: {\"" << def.name << "\", 0x"
+            ADD_FAILURE() << "no digest recorded for " << def->name
+                          << "; add: {\"" << def->name << "\", 0x"
                           << std::hex << got << "ull},";
             continue;
         }
         EXPECT_EQ(got, it->second)
-            << def.name << ": the event-sim golden trace changed; if "
+            << def->name << ": the event-sim golden trace changed; if "
             << "intentional, regenerate with RTLREPAIR_PRINT_DIGESTS=1";
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Registry, RegistryRecording,
+                         testing::ValuesIn(registryRecordings()),
+                         recordingName);
 
 TEST(GoldenTrace, TableCoversExactlyTheRegistry)
 {

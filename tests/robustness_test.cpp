@@ -7,8 +7,12 @@
 #include <functional>
 #include <string>
 
+#include "checks/correctness.hpp"
 #include "elaborate/elaborate.hpp"
+#include "gates/gate_sim.hpp"
 #include "repair/driver.hpp"
+#include "repair/windowing.hpp"
+#include "sim/vec_sim.hpp"
 #include "trace/io_trace.hpp"
 #include "verilog/parser.hpp"
 
@@ -191,4 +195,52 @@ endmodule
                                                    config));
     EXPECT_EQ(outcome.status,
               repair::RepairOutcome::Status::CannotSynthesize);
+}
+
+// Every simulator binds trace columns to ports the same way: a column
+// that names no port of its own direction is a user error (FatalError)
+// in each of them, and the Table 4 battery reports it as a failed
+// check.
+TEST(Robustness, BadTraceColumnIsFatalInEverySimulator)
+{
+    auto file = parse(R"(
+module m (input clk, input a, output reg q, output y);
+    always @(posedge clk) q <= a;
+    assign y = a;
+endmodule
+)");
+    const verilog::Module &mod = file.top();
+    ir::TransitionSystem sys = elaborate::elaborate(mod);
+    gates::GateNetlist net = gates::lower(sys);
+    std::vector<bv::Value> init;
+    for (const auto &st : sys.states)
+        init.push_back(bv::Value::zeros(st.width));
+
+    const char *traces[] = {
+        "in:y,out:q\n0,0\n1,0\n",     // input column names an output
+        "in:nope,out:q\n0,0\n1,0\n",  // input column names nothing
+        "in:a,out:a\n0,0\n1,1\n",     // output column names an input
+    };
+    for (const char *csv : traces) {
+        SCOPED_TRACE(csv);
+        trace::IoTrace io = trace::IoTrace::fromCsv(csv);
+        sim::Interpreter interp(sys);
+        EXPECT_THROW(sim::replay(interp, io), FatalError);
+        EXPECT_THROW(gates::gateReplay(net, io), FatalError);
+        EXPECT_THROW(sim::eventReplay(mod, {}, "clk", io), FatalError);
+        EXPECT_THROW(
+            sim::replayTrace(sim::SimBackend::Vec, mod, {}, "clk", io),
+            FatalError);
+        EXPECT_THROW(repair::ConcreteRunner(sys, io, init), FatalError);
+
+        checks::CheckInputs inputs;
+        inputs.golden = &mod;
+        inputs.repaired = &mod;
+        inputs.clock = "clk";
+        inputs.tb = &io;
+        checks::CheckReport report;
+        ASSERT_NO_THROW(report = checks::checkRepair(inputs));
+        EXPECT_EQ(report.testbench, std::optional<bool>(false));
+        EXPECT_FALSE(report.overall);
+    }
 }

@@ -9,13 +9,11 @@
 //  2. 64-lane vecEventRecordBatch / vecEventReplayBatch against 64
 //     independent event-simulator runs over random generated modules;
 //  3. the full benchmark registry: the vec backend must reproduce the
-//     event simulator's golden trace digest for every design.
+//     event simulator's golden trace digest for every recording
+//     (Registry/* cases, run as their own ctest shards).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/const_eval.hpp"
@@ -27,10 +25,14 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "verilog/parser.hpp"
+#include "registry_recordings.hpp"
 
 using namespace rtlrepair;
 using bv::PackedValue;
 using bv::Value;
+using testsupport::Recording;
+using testsupport::recordingName;
+using testsupport::registryRecordings;
 
 namespace {
 
@@ -349,46 +351,47 @@ TEST(VecEventSim, ReplayVerdictsMatchScalarPerLane)
     }
 }
 
-TEST(VecEventSim, RegistryGoldenTracesMatchEventSim)
+// One case per golden recording (tests/registry_recordings.hpp); the
+// cases run as their own ctest shards.
+class RegistryRecording : public testing::TestWithParam<Recording>
 {
-    // Bugs of one design share its golden source and stimulus, so the
-    // comparison runs once per distinct recording: 50 bugs, 29 keys.
-    using Key = std::tuple<std::string, std::string, std::string,
-                           std::string, std::vector<std::string>>;
-    std::set<Key> compared;
-    size_t designs = 0;
-    for (const auto &def : benchmarks::all()) {
-        Key key{def.dir + "/" + def.golden_file, def.top, def.clock,
-                def.stimulus_id, def.hidden_outputs};
-        ++designs;
-        if (!compared.insert(key).second)
-            continue;
-        SCOPED_TRACE(def.name);
-        const benchmarks::LoadedBenchmark &lb = benchmarks::load(def);
-        trace::InputSequence stim =
-            benchmarks::makeStimulus(def.stimulus_id);
+};
 
-        trace::IoTrace ev = sim::eventRecord(*lb.golden, lb.golden_lib,
-                                             def.clock, stim);
-        trace::IoTrace vc =
-            sim::recordTrace(sim::SimBackend::Vec, *lb.golden,
-                             lb.golden_lib, def.clock, stim);
-        maskHidden(ev, def.hidden_outputs);
-        maskHidden(vc, def.hidden_outputs);
-        EXPECT_EQ(digest(vc), digest(ev))
-            << def.name
-            << ": vec-backend golden trace diverges from event sim";
+TEST_P(RegistryRecording, VecGoldenTraceMatchesEventSim)
+{
+    const benchmarks::BenchmarkDef &def = *GetParam().bugs.front();
+    const benchmarks::LoadedBenchmark &lb = benchmarks::load(def);
+    trace::InputSequence stim = benchmarks::makeStimulus(def.stimulus_id);
 
-        // And the vec replay must accept the event-sim recording.
-        sim::ReplayResult rr = sim::replayTrace(
-            sim::SimBackend::Vec, *lb.golden, lb.golden_lib,
-            def.clock, ev);
-        EXPECT_TRUE(rr.passed)
-            << def.name << ": vec replay rejects the golden trace at "
-            << rr.first_failure << " (" << rr.failed_output << ")";
-    }
-    // Every bug is covered by a key that was compared.
-    EXPECT_GE(designs, 45u);
+    trace::IoTrace ev = sim::eventRecord(*lb.golden, lb.golden_lib,
+                                         def.clock, stim);
+    trace::IoTrace vc = sim::recordTrace(sim::SimBackend::Vec, *lb.golden,
+                                         lb.golden_lib, def.clock, stim);
+    maskHidden(ev, def.hidden_outputs);
+    maskHidden(vc, def.hidden_outputs);
+    EXPECT_EQ(digest(vc), digest(ev))
+        << def.name << ": vec-backend golden trace diverges from event sim";
+
+    // And the vec replay must accept the event-sim recording.
+    sim::ReplayResult rr = sim::replayTrace(
+        sim::SimBackend::Vec, *lb.golden, lb.golden_lib, def.clock, ev);
+    EXPECT_TRUE(rr.passed)
+        << def.name << ": vec replay rejects the golden trace at "
+        << rr.first_failure << " (" << rr.failed_output << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, RegistryRecording,
+                         testing::ValuesIn(registryRecordings()),
+                         recordingName);
+
+TEST(VecEventSim, RegistryRecordingsCoverEveryBug)
+{
+    // Every bug is covered by a recording that is compared.
+    size_t bugs = 0;
+    for (const Recording &rec : registryRecordings())
+        bugs += rec.bugs.size();
+    EXPECT_EQ(bugs, benchmarks::all().size());
+    EXPECT_GE(bugs, 45u);
 }
 
 // Lane-for-lane equivalence on the extended synthesizable subset:
