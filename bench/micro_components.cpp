@@ -182,8 +182,8 @@ BM_RepairQueryCounter(benchmark::State &state)
     std::vector<bv::Value> init =
         repair::resolveInitState(sys, sim::XPolicy::Random, 1);
     for (auto _ : state) {
-        repair::RepairQuery query(sys, inst.vars, resolved, 0,
-                                  resolved.length(), init);
+        repair::RepairQuery query(sys, inst.vars, resolved);
+        query.retarget(0, resolved.length(), init, nullptr);
         benchmark::DoNotOptimize(query.checkFeasible(nullptr));
     }
 }

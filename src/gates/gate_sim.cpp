@@ -12,11 +12,8 @@ GateSimulator::GateSimulator(const GateNetlist &net) : _net(net)
     _node_vals.resize(net.aig.numNodes(), 0);
     _state_vals.resize(net.sys->states.size());
     _input_vals.resize(net.sys->inputs.size());
-    _synth_vals.resize(net.sys->synth_vars.size());
     for (size_t i = 0; i < _input_vals.size(); ++i)
         _input_vals[i] = Value::zeros(net.sys->inputs[i].width);
-    for (size_t i = 0; i < _synth_vals.size(); ++i)
-        _synth_vals[i] = Value::zeros(net.sys->synth_vars[i].width);
     reset();
 }
 
@@ -40,14 +37,6 @@ GateSimulator::setInput(size_t index, const Value &value)
 }
 
 void
-GateSimulator::setSynthVar(size_t index, const Value &value)
-{
-    check(index < _synth_vals.size(), "synth index out of range");
-    _synth_vals[index] = value.xToZero();
-    _valid = false;
-}
-
-void
 GateSimulator::evalCycle()
 {
     // Seed leaf variables.
@@ -56,8 +45,6 @@ GateSimulator::evalCycle()
         assignWord(_net.state_words[i], _state_vals[i]);
     for (size_t i = 0; i < _input_vals.size(); ++i)
         assignWord(_net.input_words[i], _input_vals[i]);
-    for (size_t i = 0; i < _synth_vals.size(); ++i)
-        assignWord(_net.synth_words[i], _synth_vals[i]);
 
     // Nodes are in topological (creation) order.
     for (uint32_t n = 1; n < _net.aig.numNodes(); ++n) {

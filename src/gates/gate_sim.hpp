@@ -25,7 +25,6 @@ class GateSimulator
     void reset();
 
     void setInput(size_t index, const bv::Value &value);
-    void setSynthVar(size_t index, const bv::Value &value);
 
     /** Evaluate the combinational core. */
     void evalCycle();
@@ -42,7 +41,6 @@ class GateSimulator
     std::vector<uint8_t> _node_vals;   ///< per AIG node
     std::vector<bv::Value> _state_vals;
     std::vector<bv::Value> _input_vals;
-    std::vector<bv::Value> _synth_vals;
     bool _valid = false;
 };
 

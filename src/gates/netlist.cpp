@@ -1,6 +1,7 @@
 #include "gates/netlist.hpp"
 
 #include "smt/bitblast.hpp"
+#include "util/logging.hpp"
 
 namespace rtlrepair::gates {
 
@@ -18,6 +19,8 @@ GateNetlist::numGates() const
 GateNetlist
 lower(const ir::TransitionSystem &sys)
 {
+    check(sys.synth_vars.empty(),
+          "gate lowering needs a design without synthesis variables");
     GateNetlist net;
     net.sys = &sys;
 
@@ -30,13 +33,8 @@ lower(const ir::TransitionSystem &sys)
         net.input_words.push_back(
             smt::freshWord(net.aig, in.width));
     }
-    for (const auto &sv : sys.synth_vars) {
-        net.synth_words.push_back(
-            smt::freshWord(net.aig, sv.width));
-    }
     bindings.states = net.state_words;
     bindings.inputs = net.input_words;
-    bindings.synth = net.synth_words;
 
     smt::CycleWords words = smt::blastCycle(net.aig, sys, bindings);
     net.next_words = std::move(words.next_states);

@@ -22,7 +22,6 @@ struct GateNetlist
     /** Leaf variable words. */
     std::vector<smt::Word> state_words;
     std::vector<smt::Word> input_words;
-    std::vector<smt::Word> synth_words;
     /** Combinational functions. */
     std::vector<smt::Word> next_words;
     std::vector<smt::Word> output_words;
@@ -33,7 +32,8 @@ struct GateNetlist
     size_t numGates() const;
 };
 
-/** Lower @p sys to gates (X constants become 0). */
+/** Lower @p sys to gates (X constants become 0).  @p sys must have
+ *  no synthesis variables: only finished designs are lowered. */
 GateNetlist lower(const ir::TransitionSystem &sys);
 
 } // namespace rtlrepair::gates

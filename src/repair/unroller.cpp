@@ -63,7 +63,7 @@ RepairQuery::beginEpoch()
     _base_propagations = s.propagations;
     _base_restarts = s.restarts;
     _base_solve_calls = s.solve_calls;
-    _reused_aig_nodes = _incremental ? _solver.aig().numNodes() : 0;
+    _reused_aig_nodes = _solver.aig().numNodes();
     _encode_seconds = 0.0;
 }
 
@@ -127,45 +127,10 @@ RepairQuery::encodeRange(size_t from, size_t to,
 
 RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
                          const templates::SynthVarTable &vars,
-                         const trace::IoTrace &io, size_t first,
-                         size_t count,
-                         const std::vector<Value> &start_state,
-                         const Deadline *deadline)
+                         const trace::IoTrace &io, uint64_t solver_seed)
     : _sys(sys), _vars(vars), _io(io),
       _bind(sys, io.inputs, io.outputs)
 {
-    telemetry::Span span("encode");
-    s_queries.add(1);
-    s_max_window.record(count);
-    check(first + count <= io.length(), "window exceeds trace");
-    check(start_state.size() == sys.states.size(),
-          "start state size mismatch");
-
-    beginEpoch();
-    Stopwatch watch;
-    allocateSynthWords();
-
-    // Initial window state: concrete constants.
-    std::vector<Word> states(sys.states.size());
-    for (size_t i = 0; i < sys.states.size(); ++i) {
-        // Residual X bits (e.g. from explicit X literals in the
-        // design) read as zero, matching the 2-state circuit.
-        states[i] = smt::wordOfValue(start_state[i].xToZero());
-    }
-    encodeRange(first, first + count, std::move(states), deadline);
-    _encode_seconds = watch.seconds();
-    _card.emplace(_solver, _phi_lits);
-}
-
-RepairQuery::RepairQuery(const ir::TransitionSystem &sys,
-                         const templates::SynthVarTable &vars,
-                         const trace::IoTrace &io, Incremental,
-                         const Deadline *deadline,
-                         uint64_t solver_seed)
-    : _sys(sys), _vars(vars), _io(io),
-      _bind(sys, io.inputs, io.outputs), _incremental(true)
-{
-    (void)deadline;
     if (solver_seed != 0)
         _solver.satCore().setPhaseSeed(solver_seed);
     allocateSynthWords();
@@ -177,7 +142,6 @@ RepairQuery::retarget(size_t first, size_t count,
                       const std::vector<Value> &start_state,
                       const Deadline *deadline)
 {
-    check(_incremental, "retarget on a fresh query");
     if (_aborted)
         return;  // sticky: every solve reports Timeout
     telemetry::Span span("encode");
@@ -268,8 +232,6 @@ RepairQuery::baseAssumptions() const
 void
 RepairQuery::noteUnsatCore(Lit bound, size_t max_changes)
 {
-    if (!_incremental)
-        return;
     const std::vector<Lit> &core =
         _solver.satSolver().conflictCore();
     auto contains = [&](Lit l) {
@@ -439,15 +401,12 @@ RepairQuery::blockAssignment(
             slot->second = slot->second || active;
     }
 
-    std::vector<sat::Lit> clause;
-    // Incremental mode: gate the exclusion behind the window's block
-    // session so it evaporates (one unit clause) on retarget — a
-    // sample excluded in one window stays a candidate in the next.
-    if (_incremental) {
-        if (_session == sat::kUndefLit)
-            _session = _solver.newActivationLit();
-        clause.push_back(~_session);
-    }
+    // Gate the exclusion behind the window's block session so it
+    // evaporates (one unit clause) on retarget — a sample excluded in
+    // one window stays a candidate in the next.
+    if (_session == sat::kUndefLit)
+        _session = _solver.newActivationLit();
+    std::vector<sat::Lit> clause{~_session};
     for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
         const auto &sv = _sys.synth_vars[i];
         auto it = assignment.values.find(sv.name);
@@ -477,7 +436,7 @@ RepairQuery::blockAssignment(
                                  : _solver.satLitOf(bit_lit));
         }
     }
-    if (clause.size() > (_incremental ? 1u : 0u))
+    if (clause.size() > 1)
         _solver.satCore().addClause(std::move(clause));
 }
 

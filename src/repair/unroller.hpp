@@ -13,27 +13,24 @@
  * The window starts from a concrete state vector obtained by
  * simulating the unmodified circuit up to the window start.
  *
- * Two modes share this class:
+ * One query serves every window.  The adaptive engine keeps it across
+ * the whole window ladder; the basic synthesizer (paper §3,
+ * EngineConfig::adaptive = false) is the same query retargeted once
+ * to the full trace.
+ * The entry state is a vector of free variables equated to the
+ * concrete start state through an *anchor* activation literal that
+ * is passed as an assumption; growing the window encodes only the
+ * delta cycles, ties the new prefix to the old entry variables
+ * with permanent seam equalities, retires the old anchor with a
+ * unit clause and mints a new one.  Blocking clauses are gated
+ * behind a per-window *session* literal so sampling exclusions do
+ * not leak into later windows.  UNSAT cores over {anchor, session}
+ * classify failures: a core that names the anchor blames the
+ * concrete past state (growing the window can help), a core free
+ * of both proves the window-independent constraints alone are
+ * inconsistent — every larger window is UNSAT too.
  *
- *  - Fresh: the basic synthesizer's full-unroll query (paper §3,
- *    EngineConfig::adaptive = false), the start state folded into
- *    the encoding as constants.
- *  - Incremental: the adaptive engine's query, which lives across
- *    the whole window ladder.
- *    The entry state is a vector of free variables equated to the
- *    concrete start state through an *anchor* activation literal that
- *    is passed as an assumption; growing the window encodes only the
- *    delta cycles, ties the new prefix to the old entry variables
- *    with permanent seam equalities, retires the old anchor with a
- *    unit clause and mints a new one.  Blocking clauses are gated
- *    behind a per-window *session* literal so sampling exclusions do
- *    not leak into later windows.  UNSAT cores over {anchor, session}
- *    classify failures: a core that names the anchor blames the
- *    concrete past state (growing the window can help), a core free
- *    of both proves the window-independent constraints alone are
- *    inconsistent — every larger window is UNSAT too.
- *
- * Both modes canonicalize reported models to the lexicographically
+ * Reported models are canonicalized to the lexicographically
  * smallest synthesis-variable assignment, so the chosen repair
  * depends only on the window's semantic constraints — not on the
  * solver trajectory, the window history of the persistent solver, or
@@ -57,43 +54,25 @@ namespace rtlrepair::repair {
 class RepairQuery
 {
   public:
-    /** Tag selecting the persistent incremental mode. */
-    struct Incremental
-    {
-    };
-
     /**
-     * Fresh mode: encode cycles [first, first + count) immediately —
-     * the basic synthesizer unrolls the whole trace this way.
-     * @p start_state holds one fully-known value per system state.
-     * The trace's input X bits must already be resolved
-     * (randomize/zero per §4.3).
+     * Nothing is encoded yet; call retarget() for each window.  The
+     * trace's input X bits must already be resolved (randomize/zero
+     * per §4.3).  A non-zero @p solver_seed scrambles the SAT phase
+     * heuristic — the degradation ladder's "retry with a reseeded
+     * solver" knob.
      */
     RepairQuery(const ir::TransitionSystem &sys,
                 const templates::SynthVarTable &vars,
-                const trace::IoTrace &io, size_t first, size_t count,
-                const std::vector<bv::Value> &start_state,
-                const Deadline *deadline = nullptr);
+                const trace::IoTrace &io, uint64_t solver_seed = 0);
 
     /**
-     * Incremental mode: nothing is encoded yet; call retarget() for
-     * each window the ladder visits.  A non-zero @p solver_seed
-     * scrambles the SAT phase heuristic — the degradation ladder's
-     * "retry with a reseeded solver" knob.
-     */
-    RepairQuery(const ir::TransitionSystem &sys,
-                const templates::SynthVarTable &vars,
-                const trace::IoTrace &io, Incremental,
-                const Deadline *deadline = nullptr,
-                uint64_t solver_seed = 0);
-
-    /**
-     * Incremental mode: point the query at window
-     * [first, first + count).  The window may only grow — the
-     * adaptive ladder's starts are monotonically nonincreasing and
-     * ends nondecreasing, so already-encoded cycles are always inside
-     * the new window.  Encodes only the delta cycles, resets the
-     * per-window statistics epoch.
+     * Point the query at window [first, first + count), starting
+     * from @p start_state (one fully-known value per system state).
+     * The window may only grow — the adaptive ladder's starts are
+     * monotonically nonincreasing and ends nondecreasing, so
+     * already-encoded cycles are always inside the new window.
+     * Encodes only the delta cycles, resets the per-window
+     * statistics epoch.
      */
     void retarget(size_t first, size_t count,
                   const std::vector<bv::Value> &start_state,
@@ -147,16 +126,16 @@ class RepairQuery
     smt::Result lastResult() const { return _last; }
 
     /**
-     * Incremental mode: a solve came back UNSAT with a core naming
-     * neither the anchor nor the block session — the inconsistency
-     * lives entirely in window-independent constraints, so every
-     * larger window is UNSAT too and the ladder can fast-forward.
+     * A solve came back UNSAT with a core naming neither the anchor
+     * nor the block session — the inconsistency lives entirely in
+     * window-independent constraints, so every larger window is
+     * UNSAT too and the ladder can fast-forward.
      */
     bool windowIndependentUnsat() const { return _window_free_unsat; }
 
-    /** @name Per-window statistics (deltas since the last retarget /
-     *  construction; a persistent solver's cumulative totals would
-     *  misattribute earlier windows' work) @{ */
+    /** @name Per-window statistics (deltas since the last retarget;
+     *  a persistent solver's cumulative totals would misattribute
+     *  earlier windows' work) @{ */
     /** AIG nodes in the encoded window (total graph size). */
     size_t aigNodes() const { return _solver_aig_nodes; }
     /** Nodes that already existed when this window's encode began. */
@@ -220,8 +199,6 @@ class RepairQuery
     size_t _solver_aig_nodes = 0;
     bool _aborted = false;
 
-    // Incremental-mode state.
-    bool _incremental = false;
     size_t _lo = 0;  ///< encoded cycle range [_lo, _hi)
     size_t _hi = 0;
     bool _encoded = false;           ///< any cycles encoded yet?

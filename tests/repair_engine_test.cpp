@@ -263,10 +263,31 @@ endmodule
 )");
     RepairConfig config;
     config.engine.adaptive = false;  // full unrolling
+    trace::IoTrace io = counterTrace();
     RepairOutcome outcome =
-        repair::repairDesign(buggy.top(), {}, counterTrace(), config);
+        repair::repairDesign(buggy.top(), {}, io, config);
     ASSERT_EQ(outcome.status, RepairOutcome::Status::Repaired);
     EXPECT_GE(outcome.changes, 1);
+    EXPECT_EQ(static_cast<size_t>(outcome.window_past +
+                                  outcome.window_future),
+              io.length());
+    // The winning template solved one window: the whole trace.
+    int full_trace_windows = 0;
+    for (const auto &c : outcome.candidates) {
+        if (c.template_name != outcome.template_name)
+            continue;
+        ++full_trace_windows;
+        EXPECT_EQ(static_cast<size_t>(c.window.k_past + c.window.k_future),
+                  io.length());
+    }
+    EXPECT_EQ(full_trace_windows, 1);
+    bool solve_reported = false;
+    for (const auto &r : outcome.stages) {
+        if (r.stage == "solve:" + outcome.template_name &&
+            r.status == repair::StageStatus::Ok)
+            solve_reported = true;
+    }
+    EXPECT_TRUE(solve_reported);
 }
 
 TEST(RepairDriver, TimeoutIsReported)
