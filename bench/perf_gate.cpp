@@ -37,8 +37,6 @@ struct BenchRow
     double sat_conflicts = 0.0;
     double sat_solves = 0.0;
     double encode_seconds = 0.0;
-    double svc_cold_seconds = 0.0;
-    double svc_warm_seconds = 0.0;
 };
 
 /** One parsed metrics file: the per-benchmark rows plus the
@@ -107,8 +105,6 @@ loadBench(const char *path, MetricsFile &out)
             {"sat_conflicts", &row.sat_conflicts},
             {"sat_solves", &row.sat_solves},
             {"encode_seconds", &row.encode_seconds},
-            {"svc_cold_seconds", &row.svc_cold_seconds},
-            {"svc_warm_seconds", &row.svc_warm_seconds},
         };
         for (const auto &[key, dst] : fields) {
             if (!readNumber(b, key, *dst)) {
@@ -226,22 +222,6 @@ main(int argc, char **argv)
         ok &= gate(name, "encode_seconds", base.encode_seconds,
                    cur.encode_seconds, max_regress,
                    kWallNoiseFloorSeconds);
-        // Service warm-cache column: gate the warm/cold ratio rather
-        // than the raw warm time.  Dividing out the cold run cancels
-        // runner speed, so a regression here means the cross-job
-        // elaboration cache itself got less effective (e.g. the warm
-        // resubmission stopped hitting), not that the machine was
-        // slow.  Cold runs below the wall noise floor are skipped:
-        // their ratios are all jitter.
-        if (base.svc_cold_seconds >= kWallNoiseFloorSeconds &&
-            cur.svc_cold_seconds >= kWallNoiseFloorSeconds) {
-            double base_ratio =
-                base.svc_warm_seconds / base.svc_cold_seconds;
-            double cur_ratio =
-                cur.svc_warm_seconds / cur.svc_cold_seconds;
-            ok &= gate(name, "svc_warm_ratio", base_ratio, cur_ratio,
-                       max_regress, 0.0);
-        }
     }
     // Vectorized-simulation throughput, two checks:
     //   floor — the current run must hold the vectorized backend's

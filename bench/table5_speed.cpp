@@ -11,7 +11,6 @@
 
 #include "fuzz/generator.hpp"
 #include "repair/parallel.hpp"
-#include "service/cache.hpp"
 #include "sim/vec_sim.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -71,10 +70,6 @@ struct BenchRecord
     size_t windows = 0;
     uint64_t sat_solves = 0;
     double encode_seconds = 0.0;
-    /** Same design submitted twice through the service elaboration
-     *  cache: cold (miss) then warm (hit) wall seconds. */
-    double svc_cold_seconds = 0.0;
-    double svc_warm_seconds = 0.0;
 };
 
 /** Sum of SAT conflicts over every candidate the run examined. */
@@ -210,11 +205,7 @@ writeBenchMetrics(std::ostream &os,
            << ", \"windows\": " << r.windows
            << ", \"sat_solves\": " << r.sat_solves
            << ", \"encode_seconds\": "
-           << format("%.6f", r.encode_seconds)
-           << ", \"svc_cold_seconds\": "
-           << format("%.6f", r.svc_cold_seconds)
-           << ", \"svc_warm_seconds\": "
-           << format("%.6f", r.svc_warm_seconds) << "}";
+           << format("%.6f", r.encode_seconds) << "}";
     }
     os << "\n  ],\n  \"telemetry\": ";
     telemetry::writeMetricsJson(os);
@@ -255,14 +246,14 @@ main(int argc, char **argv)
                 "T/O = timeout; serial = full tool with jobs=1, "
                 "par(%u) = parallel portfolio)\n\n", jobs);
     std::printf("%-12s | %-11s %-12s %-12s %-12s | %-12s %-12s "
-                "%-12s %7s | %-12s | %-10s %8s\n",
+                "%-12s %7s | %-10s %8s\n",
                 "benchmark", "preprocess", "replace-lit", "add-guard",
                 "cond-ovw", "basic-synth", "serial",
-                format("par(%u)", jobs).c_str(), "par-spd",
-                "svc cold/wm", "cirfix", "speedup");
+                format("par(%u)", jobs).c_str(), "par-spd", "cirfix",
+                "speedup");
     std::printf("----------------------------------------------------"
                 "--------------------------------------------------"
-                "-------------------------------------------------\n");
+                "----------------------------------\n");
 
     for (const auto &def : benchmarks::all()) {
         if (def.oss || !selected(def, args))
@@ -294,32 +285,10 @@ main(int argc, char **argv)
         };
         Cell full_cell = cellFor(full);
 
-        // Warm-cache service column: the same design submitted twice
-        // through the daemon's cross-job elaboration cache.  The
-        // second run must report a cache hit; `!COLD` flags a warm
-        // resubmission that missed, which would mean the service
-        // cache path stopped working.
-        service::ElabCache elab_cache(64 * 1024 * 1024);
-        repair::RepairConfig svc_cfg;
-        svc_cfg.timeout_seconds = timeout;
-        svc_cfg.x_policy = def.x_policy;
-        svc_cfg.jobs = 1;
-        svc_cfg.elab_cache = &elab_cache;
-        svc_cfg.cache_key =
-            service::designDigest(verilog::print(*lb.buggy));
-        repair::RepairOutcome svc_cold = repair::repairDesign(
-            *lb.buggy, lb.buggy_lib, lb.tb, svc_cfg);
-        repair::RepairOutcome svc_warm = repair::repairDesign(
-            *lb.buggy, lb.buggy_lib, lb.tb, svc_cfg);
-        Cell svc_cell{format("%.2f/%.2fs%s", svc_cold.seconds,
-                             svc_warm.seconds,
-                             svc_warm.elab_cache_hit ? "" : " !COLD")};
-
         records.push_back({def.name, statusGlyph(full.status),
                            full.seconds, totalConflicts(full),
                            full.candidates.size(), totalSatSolves(full),
-                           totalEncodeSeconds(full), svc_cold.seconds,
-                           svc_warm.seconds});
+                           totalEncodeSeconds(full)});
 
         full_cfg.jobs = jobs;
         repair::RepairOutcome par = repair::repairDesign(
@@ -335,12 +304,12 @@ main(int argc, char **argv)
             full.seconds > 0 ? cf.seconds / full.seconds : 0.0;
 
         std::printf("%-12s | %-11s %-12s %-12s %-12s | %-12s %-12s "
-                    "%-12s %6.2fx | %-12s | %7.2fs %7.0fx\n",
+                    "%-12s %6.2fx | %7.2fs %7.0fx\n",
                     def.name.c_str(), pre.text.c_str(),
                     rl.text.c_str(), ag.text.c_str(), co.text.c_str(),
                     basic.text.c_str(), full_cell.text.c_str(),
-                    par_cell.text.c_str(), par_speedup,
-                    svc_cell.text.c_str(), cf.seconds, speedup);
+                    par_cell.text.c_str(), par_speedup, cf.seconds,
+                    speedup);
         // Per-stage breakdown + memory high-water mark of the serial
         // full-tool run, from the fault-containment stage reports.
         std::printf("%-12s |   %s\n", "",

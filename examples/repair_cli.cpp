@@ -128,8 +128,7 @@ runRemote(const std::string &address, const std::string &verilog_path,
     service::JobResult result;
     int code = client.runJob(req, result, &cancel);
     if (result.status == "repaired") {
-        std::printf("status: repaired (remote, cache %s)\n",
-                    result.cache.c_str());
+        std::printf("status: repaired (remote)\n");
         if (!out_path.empty() && !result.repaired.empty()) {
             std::ofstream out(out_path);
             out << result.repaired;

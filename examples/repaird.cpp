@@ -3,7 +3,7 @@
 //   repaird --listen /tmp/repaird.sock [--journal repaird.journal]
 //           [--workers N] [--queue-depth N] [--tenant-cap N]
 //           [--default-timeout S] [--max-job-seconds S]
-//           [--max-rss-mb N] [--cache-mb N] [--max-job-threads N]
+//           [--max-rss-mb N] [--max-job-threads N]
 //           [--inject-fault STAGE:KIND:NTH] [--trace-out t.ndjson]
 //
 // Clients speak the NDJSON protocol of src/service/protocol.hpp over
@@ -42,8 +42,7 @@ usage(const char *prog)
         "usage: %s --listen ADDR [--journal FILE] [--workers N]\n"
         "          [--queue-depth N] [--tenant-cap N]\n"
         "          [--default-timeout S] [--max-job-seconds S]\n"
-        "          [--max-rss-mb N] [--cache-mb N]\n"
-        "          [--max-job-threads N]\n"
+        "          [--max-rss-mb N] [--max-job-threads N]\n"
         "          [--inject-fault STAGE:KIND:NTH]\n"
         "          [--trace-out t.ndjson]\n"
         "ADDR: unix socket path (contains '/') or host:port\n",
@@ -104,11 +103,6 @@ run(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             config.max_rss_mb = size_t(std::atoi(v));
-        } else if (std::strcmp(argv[i], "--cache-mb") == 0) {
-            const char *v = value("--cache-mb");
-            if (!v)
-                return usage(argv[0]);
-            config.cache_mb = size_t(std::atoi(v));
         } else if (std::strcmp(argv[i], "--max-job-threads") == 0) {
             const char *v = value("--max-job-threads");
             if (!v)

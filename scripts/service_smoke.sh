@@ -162,12 +162,10 @@ def main():
             dsrc, tsrc = d.read(), t.read()
         with open(out, "w") as tr:
             for i in range(int(n)):
-                # distinct ids AND distinct designs, so neither the
-                # idempotent-id path nor the elaboration cache can
+                # distinct ids, so the idempotent-id path cannot
                 # collapse the burst into one unit of work
                 send(f, {"v": 1, "type": "submit", "id": "burst-%d" % i,
-                         "design": dsrc + "// burst %d\n" % i,
-                         "trace": tsrc})
+                         "design": dsrc, "trace": tsrc})
             print("SUBMITTED", flush=True)
             for _ in lines(f, tr):  # drain until the daemon dies
                 pass
@@ -190,7 +188,7 @@ EOF
 start_daemon() {  # start_daemon <log> [extra args...]
     local log="$1"; shift
     "$REPAIRD" --listen "$SOCK" --journal "$JOURNAL" --workers 2 \
-        --cache-mb 16 "$@" > "$log" 2>&1 &
+        "$@" > "$log" 2>&1 &
     DAEMON_PID=$!
     for _ in $(seq 50); do
         [ -S "$SOCK" ] && return 0

@@ -41,6 +41,10 @@ defaultPool()
     return pool;
 }
 
+/** Driving-trace cycles for generated designs whose case does not
+ *  set FuzzCase::trace_cycles. */
+constexpr size_t kGenTraceCycles = 24;
+
 /** A fuzz case made concrete: design + library + driving stimulus. */
 struct Materialized
 {
@@ -83,7 +87,7 @@ extendStimulus(Materialized &m, const FuzzCase &fcase)
 }
 
 Materialized
-materialize(const FuzzCase &fcase, const FuzzConfig &config)
+materialize(const FuzzCase &fcase)
 {
     Materialized m;
     // `gen:<seed>` pins generator version 1, `gen2:<seed>` version 2;
@@ -97,9 +101,8 @@ materialize(const FuzzCase &fcase, const FuzzConfig &config)
         m.owned = verilog::parse(gen.source);
         m.golden = &m.owned.top();
         m.clock = gen.clock;
-        size_t cycles = fcase.trace_cycles
-                            ? fcase.trace_cycles
-                            : config.gen_trace_cycles;
+        size_t cycles =
+            fcase.trace_cycles ? fcase.trace_cycles : kGenTraceCycles;
         m.stim = generateStimulus(gen, cycles, gen_seed);
         m.input_cols = gen.inputs;
         extendStimulus(m, fcase);
@@ -302,7 +305,7 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
     CaseResult result;
     std::ostringstream detail;
     try {
-        Materialized m = materialize(fcase, config);
+        Materialized m = materialize(fcase);
 
         // 1. Golden oracle trace, and the oracle's self-check: the
         //    unmutated design must reproduce its own recording.
@@ -531,8 +534,7 @@ reduceCase(const FuzzCase &fcase, const FuzzConfig &config,
             break;
         best = cand;
     }
-    size_t full =
-        materialize(best, config).stim.rows.size() - best.trace_extra;
+    size_t full = materialize(best).stim.rows.size() - best.trace_extra;
     size_t len = best.trace_cycles ? best.trace_cycles : full;
     while (len > 4) {
         FuzzCase cand = best;

@@ -112,8 +112,6 @@ struct FuzzConfig
     size_t fresh_cycles = 64;
     /** Extra random driving rows per case (FuzzCase::trace_extra). */
     size_t extra_trace_cycles = 0;
-    /** Driving-trace cycles for generated designs. */
-    size_t gen_trace_cycles = 24;
     /** Probability of fuzzing a generated module instead of a
      *  registry design. */
     double gen_probability = 0.25;

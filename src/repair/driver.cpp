@@ -91,86 +91,43 @@ repairDesign(const verilog::Module &buggy,
         return std::move(outcome);
     };
 
-    // 1+2. Preprocess + base elaboration, the design-dependent
-    // pipeline prefix.  When the caller supplies an elaboration cache
-    // (the service layer does, keyed by design digest), a warm entry
-    // replaces both stages; the templates downstream re-elaborate
-    // their instrumented variants regardless.
+    // 1. Static-analysis preprocessing (paper §4.1).  A fault here is
+    // survivable: the cascade simply runs on the original design.
     templates::PreprocessResult pre;
-    ir::TransitionSystem base_sys;
-    bool prefix_cached = false;
-    if (config.elab_cache && config.cache_key != 0) {
-        StageGuard guard("elab-cache", outcome.stages);
-        ElaborationCache::Entry entry;
-        bool hit = false;
-        if (guard.run([&] {
-                hit = config.elab_cache->lookup(config.cache_key,
-                                                entry);
-            }) &&
-            hit) {
-            pre.module = std::move(entry.module);
-            pre.changes = entry.preprocess_changes;
-            pre.notes = entry.preprocess_notes;
-            base_sys = std::move(entry.sys);
-            prefix_cached = true;
-            outcome.elab_cache_hit = true;
+    {
+        StageGuard guard("preprocess", outcome.stages);
+        if (!guard.run([&] { pre = templates::preprocess(buggy); })) {
+            outcome.degraded = true;
+            pre = templates::PreprocessResult{};
+            pre.module = buggy.clone();
+            outcome.detail += format(
+                "preprocessing dropped (%s); continuing with the "
+                "original design\n",
+                guard.report().diagnostic.c_str());
         }
     }
-    if (!prefix_cached) {
-        // Static-analysis preprocessing (paper §4.1).  A fault here
-        // is survivable: the cascade simply runs on the original
-        // design.
-        bool prefix_ok = true;
-        {
-            StageGuard guard("preprocess", outcome.stages);
-            if (!guard.run(
-                    [&] { pre = templates::preprocess(buggy); })) {
-                outcome.degraded = true;
-                prefix_ok = false;
-                pre = templates::PreprocessResult{};
-                pre.module = buggy.clone();
-                outcome.detail += format(
-                    "preprocessing dropped (%s); continuing with the "
-                    "original design\n",
-                    guard.report().diagnostic.c_str());
-            }
-        }
 
-        // Elaborate the preprocessed design.  Without an IR nothing
-        // downstream can run: a FatalError means the user's design is
-        // not synthesizable, anything else degrades the run as a
-        // whole.
-        elaborate::ElaborateOptions elab_opts;
-        elab_opts.library = library;
-        {
-            StageGuard guard("elaborate", outcome.stages);
-            if (!guard.run([&] {
-                    base_sys =
-                        elaborate::elaborate(*pre.module, elab_opts);
-                })) {
-                const StageReport &r = guard.report();
-                if (r.user_error) {
-                    outcome.detail += format("not synthesizable: %s\n",
-                                             r.diagnostic.c_str());
-                    return finish(
-                        RepairOutcome::Status::CannotSynthesize);
-                }
-                outcome.degraded = true;
-                outcome.detail += format("elaboration dropped (%s)\n",
+    // 2. Elaborate the preprocessed design.  Without an IR nothing
+    // downstream can run: a FatalError means the user's design is not
+    // synthesizable, anything else degrades the run as a whole.
+    ir::TransitionSystem base_sys;
+    elaborate::ElaborateOptions elab_opts;
+    elab_opts.library = library;
+    {
+        StageGuard guard("elaborate", outcome.stages);
+        if (!guard.run([&] {
+                base_sys = elaborate::elaborate(*pre.module, elab_opts);
+            })) {
+            const StageReport &r = guard.report();
+            if (r.user_error) {
+                outcome.detail += format("not synthesizable: %s\n",
                                          r.diagnostic.c_str());
-                return finish(RepairOutcome::Status::Degraded);
+                return finish(RepairOutcome::Status::CannotSynthesize);
             }
-        }
-        // Only a cleanly produced prefix is worth remembering; a
-        // degraded one would replay its degradation into every warm
-        // sibling.
-        if (prefix_ok && config.elab_cache && config.cache_key != 0) {
-            ElaborationCache::Entry entry;
-            entry.module = pre.module->clone();
-            entry.preprocess_changes = pre.changes;
-            entry.preprocess_notes = pre.notes;
-            entry.sys = base_sys;
-            config.elab_cache->store(config.cache_key, entry);
+            outcome.degraded = true;
+            outcome.detail += format("elaboration dropped (%s)\n",
+                                     r.diagnostic.c_str());
+            return finish(RepairOutcome::Status::Degraded);
         }
     }
     outcome.preprocess_changes = pre.changes;

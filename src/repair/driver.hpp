@@ -19,37 +19,6 @@
 
 namespace rtlrepair::repair {
 
-/**
- * Cross-run cache of the design-dependent pipeline prefix
- * (preprocess + base elaboration), keyed by a content digest of the
- * design + library sources.  The repair driver consults it when
- * RepairConfig::elab_cache/cache_key are set; the service layer
- * provides the bounded LRU implementation (service::ElabCache) so a
- * fleet of near-identical submissions hits warm state.
- */
-class ElaborationCache
-{
-  public:
-    struct Entry
-    {
-        /** Preprocessed (lint-fixed) design; cloned on every hit so
-         *  cached state is never aliased into a running job. */
-        std::unique_ptr<verilog::Module> module;
-        int preprocess_changes = 0;
-        std::vector<std::string> preprocess_notes;
-        /** Base (uninstrumented) elaboration of the module. */
-        ir::TransitionSystem sys;
-    };
-
-    virtual ~ElaborationCache() = default;
-
-    /** Copy the entry for @p key into @p out; false on miss. */
-    virtual bool lookup(uint64_t key, Entry &out) = 0;
-
-    /** Store a copy of @p entry under @p key. */
-    virtual void store(uint64_t key, const Entry &entry) = 0;
-};
-
 /** Repairs with more changes than this keep the template cascade
  *  going (paper Fig. 3). */
 constexpr int kChangeThreshold = 3;
@@ -88,11 +57,6 @@ struct RepairConfig
      * outlive the repairDesign() call.  Optional.
      */
     const CancelToken *cancel = nullptr;
-    /** Cross-run preprocess+elaboration cache (see ElaborationCache);
-     *  consulted/filled only when cache_key is nonzero.  Optional. */
-    ElaborationCache *elab_cache = nullptr;
-    /** Content digest of design+library sources keying elab_cache. */
-    uint64_t cache_key = 0;
 };
 
 /** Per-candidate solve statistics (one row per template × window). */
@@ -141,9 +105,6 @@ struct RepairOutcome
      *  Timeout status, but distinguishable for signal/disconnect
      *  handling). */
     bool cancelled = false;
-    /** The preprocess+elaborate prefix came from the elaboration
-     *  cache (warm start). */
-    bool elab_cache_hit = false;
 };
 
 /**

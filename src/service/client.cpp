@@ -5,7 +5,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "service/cache.hpp"
 #include "service/json.hpp"
 #include "util/strings.hpp"
 
@@ -206,7 +205,6 @@ Client::runJob(const JobRequest &request, JobResult &result,
                 int(msg.num("exit_code", kExitInternal));
             result.detail = msg.str("detail");
             result.repaired = msg.str("repaired");
-            result.cache = msg.str("cache");
             return result.exit_code;
         } else if (type == "job") {
             continue;  // still active after reconnect; keep waiting

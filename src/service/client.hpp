@@ -57,7 +57,6 @@ struct JobResult
     int exit_code = kExitInternal;
     std::string detail;
     std::string repaired;  ///< patched source when repaired
-    std::string cache;     ///< "hit" / "miss" / "off"
     bool interrupted = false;  ///< daemon lost the job (crash)
 };
 

@@ -1,7 +1,7 @@
 #include "service/protocol.hpp"
 
+#include "util/digest.hpp"
 #include "util/strings.hpp"
-#include "verilog/printer.hpp"
 
 namespace rtlrepair::service {
 
@@ -56,6 +56,16 @@ line(const Json &msg)
 }
 
 } // namespace
+
+uint64_t
+jobDigest(const std::string &design_source,
+          const std::string &trace_csv)
+{
+    uint64_t h = fnv1a64(design_source);
+    h = fnv1a64("\x1f", h);  // separator: concat must not collide
+    h = fnv1a64(trace_csv, h);
+    return h;
+}
 
 bool
 parseSubmit(const Json &msg, JobRequest &out, std::string &error)
@@ -163,7 +173,7 @@ pongLine()
 
 std::string
 resultLine(const std::string &id, const RepairOutcome &outcome,
-           const std::string &repaired_source, const std::string &cache)
+           const std::string &repaired_source)
 {
     Json msg = envelope("result");
     msg.set("id", Json::string(id));
@@ -176,7 +186,6 @@ resultLine(const std::string &id, const RepairOutcome &outcome,
             Json::number(outcome.changes + outcome.preprocess_changes));
     msg.set("template", Json::string(outcome.template_name));
     msg.set("seconds", Json::number(outcome.seconds));
-    msg.set("cache", Json::string(cache));
     msg.set("degraded", Json::boolean(outcome.degraded));
     msg.set("cancelled", Json::boolean(outcome.cancelled));
     if (!outcome.detail.empty())
@@ -194,7 +203,6 @@ failureResultLine(const std::string &id, const std::string &status,
     msg.set("id", Json::string(id));
     msg.set("status", Json::string(status));
     msg.set("exit_code", Json::number(exit_code));
-    msg.set("cache", Json::string("off"));
     if (!detail.empty())
         msg.set("detail", Json::string(detail));
     return line(msg);

@@ -16,7 +16,7 @@
  *   cancel   {id}
  *   query    {id}           — state of a queued/running/recent job
  *   recover  {}             — jobs interrupted by a daemon crash
- *   stats    {}             — queue/cache/counter snapshot
+ *   stats    {}             — queue/counter snapshot
  *   ping     {}
  *
  * Response types:
@@ -28,7 +28,7 @@
  *   stage       {id, stage, status, seconds, rss_kb|rss:"unknown",
  *                retries?, diagnostic?}
  *   result      {id, status, exit_code, changes, template, seconds,
- *                cache, degraded, cancelled, detail, repaired?}
+ *                degraded, cancelled, detail, repaired?}
  *   job         {id, state:"active", cancelled?} — query reply for a
  *               queued or running job; `cancelled: true` once its
  *               cancel token has tripped (cancel request, client
@@ -85,6 +85,11 @@ struct JobRequest
     bool want_stages = false;  ///< stream per-stage reports
 };
 
+/** Digest of a full submission (design + trace): the default
+ *  content-addressed job id, identical on client and server. */
+uint64_t jobDigest(const std::string &design_source,
+                   const std::string &trace_csv);
+
 /** Parse a submit object into @p out; false + error on bad fields. */
 bool parseSubmit(const Json &msg, JobRequest &out, std::string &error);
 
@@ -104,12 +109,11 @@ std::string pongLine();
 
 /**
  * Result line for a finished job.  @p repaired_source is the patched
- * design when status==Repaired; @p cache is "hit", "miss" or "off".
+ * design when status==Repaired.
  */
 std::string resultLine(const std::string &id,
                        const repair::RepairOutcome &outcome,
-                       const std::string &repaired_source,
-                       const std::string &cache);
+                       const std::string &repaired_source);
 
 /** Result line for a job that never produced an outcome. */
 std::string failureResultLine(const std::string &id,

@@ -6,7 +6,6 @@
 
 #include "service/json.hpp"
 #include "trace/io_trace.hpp"
-#include "util/digest.hpp"
 #include "util/fault.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
@@ -81,7 +80,6 @@ struct Server::Job
 
 Server::Server(ServerConfig config)
     : _config(std::move(config)),
-      _cache(_config.cache_mb * 1024 * 1024),
       _queue(_config.queue_depth, _config.tenant_cap)
 {
 }
@@ -475,12 +473,9 @@ Server::runJob(const std::shared_ptr<Job> &job)
         repair::foldStageCounters(svc_stages);
 
         std::vector<const verilog::Module *> library;
-        std::vector<std::string> library_sources;
         for (const auto &m : file.modules) {
-            if (m.get() != &file.top()) {
+            if (m.get() != &file.top())
                 library.push_back(m.get());
-                library_sources.push_back(verilog::print(*m));
-            }
         }
 
         // Per-tenant budgets: the requested timeout is clamped to the
@@ -500,12 +495,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
             config.jobs = _config.max_job_threads;
         config.guard.max_rss_mb = _config.max_rss_mb;
         config.cancel = &job->cancel;
-        if (_config.cache_mb > 0) {
-            config.elab_cache = &_cache;
-            config.cache_key =
-                designDigest(verilog::print(file.top()),
-                             library_sources);
-        }
 
         repair::RepairOutcome outcome =
             repair::repairDesign(file.top(), library, io, config);
@@ -522,16 +511,13 @@ Server::runJob(const std::shared_ptr<Job> &job)
                 repair::RepairOutcome::Status::Repaired &&
             outcome.repaired)
             repaired_source = verilog::print(*outcome.repaired);
-        const char *cache = _config.cache_mb == 0 ? "off"
-                            : outcome.elab_cache_hit ? "hit"
-                                                     : "miss";
         std::string wire_status =
             outcome.cancelled ? "cancelled"
                               : statusWireName(outcome.status);
         if (outcome.cancelled)
             serviceCounter("jobs.cancelled").add(1);
         finishJob(job, wire_status,
-                  resultLine(req.id, outcome, repaired_source, cache));
+                  resultLine(req.id, outcome, repaired_source));
     } catch (const FatalError &e) {
         serviceCounter("jobs.faulted").add(1);
         finishJob(job, "bad-input",
@@ -570,15 +556,6 @@ Server::statsJson()
     reply.set("workers", Json::number(uint64_t(_config.workers)));
     reply.set("interrupted",
               Json::number(uint64_t(_journal.interrupted().size())));
-    ElabCache::Stats cache = _cache.stats();
-    Json cache_obj = Json::object();
-    cache_obj.set("hits", Json::number(cache.hits));
-    cache_obj.set("misses", Json::number(cache.misses));
-    cache_obj.set("stores", Json::number(cache.stores));
-    cache_obj.set("evictions", Json::number(cache.evictions));
-    cache_obj.set("entries", Json::number(uint64_t(cache.entries)));
-    cache_obj.set("bytes", Json::number(uint64_t(cache.bytes)));
-    reply.set("cache", std::move(cache_obj));
     return reply;
 }
 

@@ -31,9 +31,6 @@
  *     a restarted daemon reports jobs the previous instance lost as
  *     "interrupted" (recover request) instead of dropping them
  *     silently.
- *   - Warm state.  A bounded LRU cache of preprocess+elaboration
- *     results keyed by design digest serves resubmitted designs
- *     without recomputing the pipeline prefix.
  */
 #ifndef RTLREPAIR_SERVICE_SERVER_HPP
 #define RTLREPAIR_SERVICE_SERVER_HPP
@@ -43,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/cache.hpp"
 #include "service/job_queue.hpp"
 #include "service/journal.hpp"
 #include "service/protocol.hpp"
@@ -71,8 +67,6 @@ struct ServerConfig
     /** RSS watermark in MiB, compared with the process's current
      *  RSS before each solve stage of a job (0 = off). */
     size_t max_rss_mb = 0;
-    /** Cross-job elaboration cache budget in MiB (0 = off). */
-    size_t cache_mb = 64;
     /** Clamp on the per-job worker-thread request. */
     unsigned max_job_threads = 8;
 };
@@ -110,8 +104,6 @@ class Server
     /** Jobs the previous daemon instance lost (journal replay). */
     const std::vector<InterruptedJob> &interrupted() const;
 
-    ElabCache &cache() { return _cache; }
-
   private:
     struct Connection;
     struct Job;
@@ -137,7 +129,6 @@ class Server
     CancelToken _stop;
     Fd _listener;
     Journal _journal;
-    ElabCache _cache;
     JobQueue<Job> _queue;
 
     std::mutex _mutex;  ///< guards _active, _recent, _conn_threads

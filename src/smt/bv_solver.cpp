@@ -267,7 +267,7 @@ BvSolver::modelWord(const Word &word)
 
 Totalizer::Totalizer(BvSolver &solver,
                      const std::vector<AigLit> &inputs)
-    : _solver(&solver), _sat(&solver.satCore())
+    : _sat(&solver.satCore())
 {
     // A SAT literal that is always true (for out-of-range queries).
     Var tv = _sat->newVar();
@@ -277,7 +277,7 @@ Totalizer::Totalizer(BvSolver &solver,
     // Leaves: one singleton list per input.
     std::vector<std::vector<Lit>> layer;
     for (AigLit in : inputs)
-        layer.push_back({_solver->satLitOf(in)});
+        layer.push_back({solver.satLitOf(in)});
 
     if (layer.empty())
         return;
@@ -291,28 +291,6 @@ Totalizer::Totalizer(BvSolver &solver,
         layer = std::move(next);
     }
     _outputs = layer[0];
-}
-
-void
-Totalizer::extend(const std::vector<AigLit> &more_inputs)
-{
-    if (more_inputs.empty())
-        return;
-    std::vector<std::vector<Lit>> layer;
-    for (AigLit in : more_inputs)
-        layer.push_back({_solver->satLitOf(in)});
-    while (layer.size() > 1) {
-        std::vector<std::vector<Lit>> next;
-        for (size_t i = 0; i + 1 < layer.size(); i += 2)
-            next.push_back(merge(layer[i], layer[i + 1]));
-        if (layer.size() % 2 == 1)
-            next.push_back(layer.back());
-        layer = std::move(next);
-    }
-    if (_outputs.empty())
-        _outputs = layer[0];
-    else
-        _outputs = merge(_outputs, layer[0]);
 }
 
 std::vector<Lit>

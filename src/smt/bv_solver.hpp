@@ -93,15 +93,6 @@ class Totalizer
     /** Build over @p inputs inside @p solver (encodes immediately). */
     Totalizer(BvSolver &solver, const std::vector<AigLit> &inputs);
 
-    /**
-     * Extend the encoder with additional inputs: a fresh merge tree
-     * over @p more_inputs is merged into the existing outputs.  Sound
-     * for the one-sided encoding — old outputs keep meaning "sum ≥ k"
-     * over the enlarged input set because the merge only adds
-     * implications from the old outputs into the new ones.
-     */
-    void extend(const std::vector<AigLit> &more_inputs);
-
     size_t size() const { return _outputs.size(); }
 
     /** SAT literal meaning "at least k inputs are true", 1-based. */
@@ -114,7 +105,6 @@ class Totalizer
     std::vector<sat::Lit> merge(const std::vector<sat::Lit> &a,
                                 const std::vector<sat::Lit> &b);
 
-    BvSolver *_solver = nullptr;
     sat::Solver *_sat = nullptr;
     std::vector<sat::Lit> _outputs;  ///< outputs[i] = "sum >= i+1"
     sat::Lit _true_lit;

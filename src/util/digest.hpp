@@ -1,9 +1,9 @@
 /**
  * @file
  * FNV-1a 64-bit hashing, the digest used throughout the tool to key
- * content-addressed state: the golden-trace regression table, the
- * service layer's cross-job elaboration cache, and idempotent default
- * job ids all hash with the same function so their keys agree.
+ * content-addressed state: the golden-trace regression table and the
+ * service layer's idempotent default job ids hash with the same
+ * function.
  */
 #ifndef RTLREPAIR_UTIL_DIGEST_HPP
 #define RTLREPAIR_UTIL_DIGEST_HPP

@@ -1,7 +1,6 @@
 // Service-layer unit tests that need no sockets: the JSON codec, the
 // NDJSON protocol lines, admission-control verdicts, digests, the
-// crash-recovery journal, the elaboration cache, and the RSS-unknown
-// degradation path.
+// crash-recovery journal, and the RSS-unknown degradation path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,15 +8,12 @@
 
 #include <sys/mman.h>
 
-#include "service/cache.hpp"
 #include "service/job_queue.hpp"
 #include "service/journal.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "util/digest.hpp"
 #include "util/fault.hpp"
-#include "verilog/parser.hpp"
-#include "verilog/printer.hpp"
 
 using namespace rtlrepair;
 using namespace rtlrepair::service;
@@ -329,80 +325,11 @@ TEST(Digest, StableAndSeparatorSafe)
     // FNV-1a 64 with the standard offset/prime; empty string hashes
     // to the offset basis.
     EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
-    EXPECT_EQ(designDigest("abc"), fnv1a64("abc"));
-    // Library separator: moving bytes across the boundary changes
-    // the digest (concatenation is not ambiguous).
-    EXPECT_NE(designDigest("ab", {"c"}), designDigest("a", {"bc"}));
+    // Design/trace separator: moving bytes across the boundary
+    // changes the digest (concatenation is not ambiguous).
+    EXPECT_EQ(jobDigest("d", "t"), fnv1a64("d\x1ft"));
     EXPECT_NE(jobDigest("ab", "c"), jobDigest("a", "bc"));
     EXPECT_EQ(jobDigest("d", "t"), jobDigest("d", "t"));
-}
-
-TEST(ElabCacheTest, HitsCloneAndLruEvicts)
-{
-    auto parsed = verilog::parse(
-        "module m (input a, output b);\n  assign b = a;\nendmodule\n");
-    repair::ElaborationCache::Entry entry;
-    entry.module = parsed.top().clone();
-    entry.preprocess_changes = 1;
-    entry.preprocess_notes = {"note"};
-
-    ElabCache cache(1 << 20);
-    repair::ElaborationCache::Entry out;
-    EXPECT_FALSE(cache.lookup(1, out));
-    cache.store(1, entry);
-    ASSERT_TRUE(cache.lookup(1, out));
-    ASSERT_NE(out.module, nullptr);
-    // The hit is a clone: distinct object, identical content.
-    EXPECT_NE(out.module.get(), entry.module.get());
-    EXPECT_EQ(verilog::print(*out.module),
-              verilog::print(*entry.module));
-    EXPECT_EQ(out.preprocess_changes, 1);
-
-    ElabCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.stores, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_GT(stats.bytes, 0u);
-}
-
-TEST(ElabCacheTest, BoundedMemoryEvictsLeastRecentlyUsed)
-{
-    auto parsed = verilog::parse(
-        "module m (input a, output b);\n  assign b = a;\nendmodule\n");
-    repair::ElaborationCache::Entry entry;
-    entry.module = parsed.top().clone();
-
-    // Budget sized for roughly two entries.
-    ElabCache probe(1 << 20);
-    probe.store(0, entry);
-    size_t one_entry = probe.stats().bytes;
-    ASSERT_GT(one_entry, 0u);
-
-    ElabCache cache(one_entry * 2 + one_entry / 2);
-    cache.store(1, entry);
-    cache.store(2, entry);
-    repair::ElaborationCache::Entry out;
-    ASSERT_TRUE(cache.lookup(1, out));  // 1 is now most recent
-    cache.store(3, entry);              // evicts 2, the LRU
-    EXPECT_FALSE(cache.lookup(2, out));
-    EXPECT_TRUE(cache.lookup(1, out));
-    EXPECT_TRUE(cache.lookup(3, out));
-    EXPECT_GE(cache.stats().evictions, 1u);
-    EXPECT_LE(cache.stats().bytes, one_entry * 2 + one_entry / 2);
-}
-
-TEST(ElabCacheTest, ZeroBudgetDisables)
-{
-    auto parsed = verilog::parse(
-        "module m (input a, output b);\n  assign b = a;\nendmodule\n");
-    repair::ElaborationCache::Entry entry;
-    entry.module = parsed.top().clone();
-    ElabCache cache(0);
-    cache.store(1, entry);
-    repair::ElaborationCache::Entry out;
-    EXPECT_FALSE(cache.lookup(1, out));
-    EXPECT_EQ(cache.stats().stores, 0u);
 }
 
 TEST(PeakRss, ParseVmHwmHandlesRealAndDegenerateInput)
